@@ -1,11 +1,13 @@
 """Witness wirings for multi-copy entanglement detection.
 
 Pair witnesses from a small catalog are placed on chosen (copy, party)
-slots of a k-copy state, assembled into one big operator, and traced
-against rho^(x)k.  Sign changes of that trace along a noise parameter
-are located by bisection, PPT gives the independent entanglement
-verdict, and a two-copy measurement protocol concentrates partially
-entangled pure states.
+slots of a k-copy state.  Each wiring is compiled once into an
+evaluator that traces it against rho^(x)k by an O(D^2) elementwise
+contraction, and one compiled wiring serves a whole sweep.  Sign
+changes of that trace along a noise parameter are located by
+bisection, PPT gives the independent entanglement verdict, and a
+two-copy measurement protocol concentrates partially entangled pure
+states.
 """
 
 from .detection import (
@@ -13,6 +15,7 @@ from .detection import (
     WiringSpec,
     assemble,
     closed_form,
+    compile_wiring,
     expectation,
     find_threshold,
     ordering_matrix,
@@ -38,6 +41,7 @@ __all__ = [
     "catalog",
     "catalog_names",
     "closed_form",
+    "compile_wiring",
     "concentrate",
     "expectation",
     "find_threshold",

@@ -1,16 +1,21 @@
-"""Multi-copy witness wirings: assembly, expectation values, thresholds.
+"""Multi-copy witness wirings: compilation, expectation values, thresholds.
 
 A wiring takes k copies of an n-party state, lays the k*n subsystems
 out copy-major (copy 0's parties first, then copy 1's, ...), and places
 bipartite or multipartite witnesses on chosen slots, possibly across
 copies.  Slots are addressed as (copy_index, party_index); unassigned
-slots implicitly carry identity.  The expectation Tr(assembled * rho^(x)k)
+slots implicitly carry identity.  The expectation Tr(Wiring rho^(x)k)
 can then change sign where every single-copy witness expectation stays
 nonnegative, which is the whole point of the construction.
+
+``compile_wiring`` validates a wiring and builds its operator once;
+the evaluator it returns takes each trace as an O(D^2) elementwise
+contraction, so a sweep and its bisections reuse one compiled wiring.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import witnesses as _witnesses
-from .linalg import MAX_DIM
-from .multipartite import embed, tensor_power
+from .linalg import HERMITICITY_TOL, MAX_DIM, hermiticity_defect
+from .multipartite import permute_subsystems, tensor_power
 from .states import StateFamily
 
 IMAG_TOL = 1e-9
@@ -51,6 +56,17 @@ class Assignment:
                 f"witness on slots {self.slots} has shape {mat.shape}, "
                 f"expected {(want, want)} for local dims {local_dims}"
             )
+        if not isinstance(self.witness, str):
+            # a raw matrix is outside input: a non-Hermitian one would
+            # give a real-looking trace that means nothing
+            if not np.isfinite(mat).all():
+                raise ValueError(f"witness on slots {self.slots} has non-finite entries")
+            defect = hermiticity_defect(mat)
+            if defect > HERMITICITY_TOL:
+                raise ValueError(
+                    f"witness on slots {self.slots} is not Hermitian: max|A - A^dag| = "
+                    f"{defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+                )
         return mat
 
     def label(self) -> str:
@@ -117,43 +133,63 @@ def wiring(
 def assemble(spec: WiringSpec) -> np.ndarray:
     """Dense operator realizing the wiring on the full copy-major slot space.
 
-    The embedded factors act on disjoint slots, so their matrix product
-    equals the tensor product in the wiring's layout and the order of
-    multiplication is immaterial.
+    The witnesses act on disjoint slots, so the operator is their
+    Kronecker product in assignment order, times identity on the
+    unassigned slots, with the slots then permuted into place.
     """
     spec.validate()
     full = spec.full_dims
-    total = int(np.prod(full))
-    out = np.eye(total, dtype=complex)
+    factors = []
+    placed: list[int] = []
     for asg in spec.assignments:
         flats = [spec.flat_slot(c, p) for c, p in asg.slots]
-        local_dims = [full[f] for f in flats]
-        mat = asg.resolve(local_dims)
-        out = out @ embed(mat, local_dims, flats, full)
-    return out
+        factors.append(asg.resolve([full[f] for f in flats]))
+        placed += flats
+    rest = [s for s in range(len(full)) if s not in placed]
+    factors.append(np.eye(int(np.prod([full[s] for s in rest])), dtype=complex))
+    op = functools.reduce(np.kron, factors)
+    # op lives on slot order (placed..., rest...); send each slot to its place
+    perm = placed + rest
+    return permute_subsystems(op, [full[s] for s in perm], perm)
+
+
+def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
+    """Validate and assemble the wiring once; return ``rho -> Tr(W rho^(x)copies)``.
+
+    The evaluator takes one copy rho of the base system.  The trace
+    Tr(A B) is the elementwise sum of A * B^T, O(D^2) instead of the
+    O(D^3) product.  It must come out real (Hermitian observable
+    against a Hermitian state); an imaginary residue above 1e-9 raises,
+    because silently discarding it would mask a mis-assembled wiring.
+    """
+    op = assemble(spec)
+    base_dims = list(spec.base_dims)
+    base_total = int(np.prod(base_dims))
+    copies = spec.copies
+
+    def evaluate(rho: np.ndarray) -> float:
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (base_total, base_total):
+            raise ValueError(
+                f"state has shape {rho.shape}, expected {(base_total, base_total)} "
+                f"for base dims {base_dims}"
+            )
+        if not np.isfinite(rho).all():
+            raise ValueError("state has non-finite entries")
+        big, _ = tensor_power(rho, base_dims, copies)
+        value = complex(np.einsum("ij,ji->", op, big))
+        if abs(value.imag) > IMAG_TOL:
+            raise ValueError(
+                f"expectation has imaginary residue {value.imag:.3e} above {IMAG_TOL:.0e}"
+            )
+        return value.real
+
+    return evaluate
 
 
 def expectation(spec: WiringSpec, rho: np.ndarray) -> float:
-    """Tr(assemble(spec) * rho^(x)copies) for one copy rho of the base system.
-
-    The trace must come out real (Hermitian observable against a
-    Hermitian state); an imaginary residue above 1e-9 raises, because
-    silently discarding it would mask a mis-assembled wiring.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    base_total = int(np.prod(spec.base_dims))
-    if rho.shape != (base_total, base_total):
-        raise ValueError(
-            f"state has shape {rho.shape}, expected {(base_total, base_total)} "
-            f"for base dims {list(spec.base_dims)}"
-        )
-    big, _ = tensor_power(rho, list(spec.base_dims), spec.copies)
-    value = complex(np.trace(assemble(spec) @ big))
-    if abs(value.imag) > IMAG_TOL:
-        raise ValueError(
-            f"expectation has imaginary residue {value.imag:.3e} above {IMAG_TOL:.0e}"
-        )
-    return value.real
+    """Tr(Wiring rho^(x)copies) for one copy rho of the base system."""
+    return compile_wiring(spec)(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +264,22 @@ def find_threshold(
     hi: float,
     tol: float = 1e-9,
 ) -> ThresholdResult:
-    """Bisect a sign change of ``f`` on [lo, hi] down to bracket width tol."""
+    """Bisect a sign change of ``f`` on [lo, hi] down to bracket width tol.
+
+    A non-finite value of ``f`` raises: NaN compares as neither sign,
+    so bisecting through it would report a root that is not there.
+    """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi)
+
+    def value(p: float) -> float:
+        v = f(p)
+        if not math.isfinite(v):
+            raise ValueError(f"f({p!r}) = {v} is not finite")
+        return v
+
+    flo = value(lo)
+    fhi = value(hi)
     if flo == 0.0:
         return ThresholdResult(lo, lo, lo)
     if fhi == 0.0:
@@ -243,7 +290,7 @@ def find_threshold(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = value(mid)
         if fm == 0.0:
             return ThresholdResult(mid, mid, mid)
         if math.copysign(1.0, fm) == math.copysign(1.0, flo):
@@ -268,7 +315,9 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
 
     Every consecutive grid pair with opposite signs feeds the bisection,
     so a sweep resolves each crossing to 1e-9 regardless of grid
-    resolution (as long as the grid brackets it at all).
+    resolution (as long as the grid brackets it at all).  The wiring is
+    compiled once for the grid and every bisection; a non-finite grid
+    value raises.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -278,8 +327,12 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
         )
     lo, hi = family.param_range
     params = np.linspace(lo, hi, grid_points)
-    f = lambda p: expectation(spec, family(p))
+    evaluate = compile_wiring(spec)
+    f = lambda p: evaluate(family(p))
     values = [f(p) for p in params]
+    for p, v in zip(params, values):
+        if not math.isfinite(v):
+            raise ValueError(f"wiring value at {family.param_name}={p!r} is not finite: {v}")
     thresholds = []
     for i in range(len(params) - 1):
         vl, vr = values[i], values[i + 1]

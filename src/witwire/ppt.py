@@ -26,20 +26,18 @@ class PptVerdict:
     verdict: str  # "npt_entangled" or "ppt_inconclusive"
 
 
-def ppt_check(rho, dims, transposed_slots) -> PptVerdict:
-    """Minimum eigenvalue of the partial transpose, with verdict."""
-    check_density_matrix(rho, list(dims))
-    pt = partial_transpose(rho, list(dims), list(transposed_slots))
-    vals, _ = hermitian_eig(pt)
-    low = float(vals[0])
-    verdict = "npt_entangled" if low < NEG_TOL else "ppt_inconclusive"
-    return PptVerdict(low, tuple(int(s) for s in transposed_slots), verdict)
-
-
 def min_pt_eigenvalue(rho, dims, transposed_slots) -> float:
     pt = partial_transpose(rho, list(dims), list(transposed_slots))
     vals, _ = hermitian_eig(pt)
     return float(vals[0])
+
+
+def ppt_check(rho, dims, transposed_slots) -> PptVerdict:
+    """Minimum eigenvalue of the partial transpose, with verdict."""
+    check_density_matrix(rho, list(dims))
+    low = min_pt_eigenvalue(rho, dims, transposed_slots)
+    verdict = "npt_entangled" if low < NEG_TOL else "ppt_inconclusive"
+    return PptVerdict(low, tuple(int(s) for s in transposed_slots), verdict)
 
 
 def ppt_threshold(

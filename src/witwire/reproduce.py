@@ -131,11 +131,9 @@ def _ex3(seed: int) -> tuple[list[dict], list[str]]:
     ]
     family = FAMILIES["werner_w"]
     grid = np.linspace(0.0, 1.0, 101)
+    evaluate = detection.compile_wiring(scen.wiring)
     gap = max(
-        abs(
-            detection.expectation(scen.wiring, family(w))
-            - detection.closed_form("three_copy_cyclic", w)
-        )
+        abs(evaluate(family(w)) - detection.closed_form("three_copy_cyclic", w))
         for w in grid
     )
     checks.append(_limit("closed_form_max_gap", gap, 1e-8))
@@ -183,11 +181,9 @@ def _ex4(seed: int) -> tuple[list[dict], list[str]]:
     ]
     family = FAMILIES["werner_a"]
     grid = np.linspace(0.0, 1.0, 101)
+    evaluate = detection.compile_wiring(scen.wiring)
     gap = max(
-        abs(
-            detection.expectation(scen.wiring, family(a))
-            - detection.closed_form("p_w3_cross", a)
-        )
+        abs(evaluate(family(a)) - detection.closed_form("p_w3_cross", a))
         for a in grid
     )
     checks.append(_limit("closed_form_max_gap", gap, 1e-8))

@@ -59,60 +59,59 @@ _P_CORE = np.array(
     dtype=complex,
 )
 
+
+def _fixed(name: str, mat: np.ndarray, dims=(2, 2), kind="witness") -> WitnessSpec:
+    # every lookup hands out this same array, so nobody may write to it
+    mat.setflags(write=False)
+    return WitnessSpec(name, mat, dims, kind)
+
+
+# The parameterless entries, built once at import.
+_FIXED = {
+    spec.name: spec
+    for spec in (
+        _fixed("W", _pauli_pair(-1.0, +1.0)),
+        _fixed("V", 2.0 * partial_transpose(projector(bell("phi_plus")), [2, 2], [1])),
+        _fixed("W1", np.eye(4, dtype=complex) + np.kron(PAULI_X, PAULI_X) - np.kron(PAULI_Y, PAULI_Y)),
+        _fixed("W2", 2.0 * partial_transpose(projector(bell("psi_minus")), [2, 2], [1])),
+        _fixed("W3", 2.0 * partial_transpose(projector(bell("psi_plus")), [2, 2], [1])),
+        _fixed("W4", _pauli_pair(-1.0, -1.0)),
+        _fixed("P", _P_CORE, kind="positive_semidefinite"),
+        # WW1: detects the W state against white noise with a single copy
+        _fixed("WW1", (2.0 / 3.0) * np.eye(8, dtype=complex) - projector(w_state()), (2, 2, 2)),
+    )
+}
+
 _CANONICAL_NAMES = ("W", "V", "W1", "W2", "W3", "W4", "P", "P_b", "WW1")
+_BY_LOWER = {n.lower(): n for n in _CANONICAL_NAMES}
 
 
 def catalog(name: str, b: float | None = None) -> WitnessSpec:
     """Look up a catalog operator by name.
 
-    P_b takes the tuning parameter b >= 1 (b=1 gives P/4 entrywise);
-    every other name rejects a parameter.  W3 is fixed at the trace-2
+    P_b takes the tuning parameter b >= 1 (b=1 gives P/4 entrywise) and
+    is built on each call; every other name rejects a parameter and
+    returns its shared read-only entry.  W3 is fixed at the trace-2
     normalization 2|psi_plus><psi_plus|^T2 -- a positive rescaling
     never changes which states a witness detects, so nothing downstream
     depends on that factor.
     """
-    key = str(name).strip()
-    canon = {n.lower(): n for n in _CANONICAL_NAMES}.get(key.lower())
+    canon = _BY_LOWER.get(str(name).strip().lower())
     if canon is None:
         raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(_CANONICAL_NAMES)}")
-    if canon != "P_b" and b is not None:
-        raise ValueError(f"{canon} takes no parameter, got b={b}")
-
-    if canon == "W":
-        return WitnessSpec("W", _pauli_pair(-1.0, +1.0), (2, 2), "witness")
-    if canon == "V":
-        mat = 2.0 * partial_transpose(projector(bell("phi_plus")), [2, 2], [1])
-        return WitnessSpec("V", mat, (2, 2), "witness")
-    if canon == "W1":
-        mat = (
-            np.eye(4, dtype=complex)
-            + np.kron(PAULI_X, PAULI_X)
-            - np.kron(PAULI_Y, PAULI_Y)
-        )
-        return WitnessSpec("W1", mat, (2, 2), "witness")
-    if canon == "W2":
-        mat = 2.0 * partial_transpose(projector(bell("psi_minus")), [2, 2], [1])
-        return WitnessSpec("W2", mat, (2, 2), "witness")
-    if canon == "W3":
-        mat = 2.0 * partial_transpose(projector(bell("psi_plus")), [2, 2], [1])
-        return WitnessSpec("W3", mat, (2, 2), "witness")
-    if canon == "W4":
-        return WitnessSpec("W4", _pauli_pair(-1.0, -1.0), (2, 2), "witness")
-    if canon == "P":
-        return WitnessSpec("P", _P_CORE.copy(), (2, 2), "positive_semidefinite")
-    if canon == "P_b":
-        if b is None:
-            raise ValueError("P_b requires the parameter b")
-        b = float(b)
-        if b < 1.0:
-            raise ValueError(f"P_b is positive semidefinite only for b >= 1, got b={b}")
-        mat = _P_CORE.copy()
-        mat[1, 1] = mat[2, 2] = 2.0 * b
-        mat[1, 2] = mat[2, 1] = -2.0 * b
-        return WitnessSpec("P_b", mat / (4.0 * b), (2, 2), "positive_semidefinite")
-    # WW1: detects the W state against white noise with a single copy
-    mat = (2.0 / 3.0) * np.eye(8, dtype=complex) - projector(w_state())
-    return WitnessSpec("WW1", mat, (2, 2, 2), "witness")
+    if canon != "P_b":
+        if b is not None:
+            raise ValueError(f"{canon} takes no parameter, got b={b}")
+        return _FIXED[canon]
+    if b is None:
+        raise ValueError("P_b requires the parameter b")
+    b = float(b)
+    if b < 1.0:
+        raise ValueError(f"P_b is positive semidefinite only for b >= 1, got b={b}")
+    mat = _P_CORE.copy()
+    mat[1, 1] = mat[2, 2] = 2.0 * b
+    mat[1, 2] = mat[2, 1] = -2.0 * b
+    return WitnessSpec("P_b", mat / (4.0 * b), (2, 2), "positive_semidefinite")
 
 
 def catalog_names() -> tuple[str, ...]:

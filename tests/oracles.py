@@ -106,3 +106,41 @@ def partial_transpose_oracle(mat, dims, slots):
                 rn[s], cn[s] = ci[s], ri[s]
             out[ravel(rn, dims), ravel(cn, dims)] = mat[r, c]
     return out
+
+
+def expectation_oracle(local_mats, slots, base_dims, copies, rho):
+    """Tr(W rho^(x)copies), summed one operator entry at a time.
+
+    ``local_mats[i]`` acts on the ordered (copy, party) pairs
+    ``slots[i]`` of the copy-major layout; every other slot carries
+    identity.  Entry (r, c) of W is the product of the witnesses'
+    entries on their slots, and zero unless r and c agree on every
+    identity slot; entry (c, r) of rho^(x)copies is the product of
+    rho's entries, one per copy.
+    """
+    n = len(base_dims)
+    full_dims = list(base_dims) * copies
+    placed = [[c * n + p for c, p in group] for group in slots]
+    covered = {s for group in placed for s in group}
+    free = [s for s in range(len(full_dims)) if s not in covered]
+    total = int(np.prod(full_dims))
+    digits = [unravel(i, full_dims) for i in range(total)]
+    acc = 0.0 + 0.0j
+    for ri in digits:
+        for ci in digits:
+            if any(ri[s] != ci[s] for s in free):
+                continue
+            term = 1.0 + 0.0j
+            for mat, group in zip(local_mats, placed):
+                local_dims = [full_dims[s] for s in group]
+                term *= mat[
+                    ravel([ri[s] for s in group], local_dims),
+                    ravel([ci[s] for s in group], local_dims),
+                ]
+            for k in range(copies):
+                term *= rho[
+                    ravel(ci[k * n:(k + 1) * n], base_dims),
+                    ravel(ri[k * n:(k + 1) * n], base_dims),
+                ]
+            acc += term
+    return acc

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import expectation_oracle
 from witwire import detection
-from witwire.states import FAMILIES, FIXED_STATES, projector, bell
+from witwire.states import FAMILIES, FIXED_STATES, StateFamily, projector, bell
 from witwire.witnesses import catalog
 
 
@@ -132,8 +134,6 @@ def test_sweep_without_sign_change_reports_nothing():
 def test_sweep_records_exact_grid_zero():
     # every number here is a dyadic rational, so the grid node at t=0.5
     # evaluates to exactly 0.0 and must be recorded without bisection
-    from witwire.states import StateFamily
-
     def diag_family(t):
         return np.diag([(1.0 - t) / 2.0, t / 2.0, 0.25, 0.25]).astype(complex)
 
@@ -165,3 +165,119 @@ def test_ordering_matrix_accepts_raw_state():
     orderings = {"cross": [((0, 0), (1, 1)), ((0, 1), (1, 0))]}
     table = detection.ordering_matrix(("W", "V"), rho, None, 2, (2, 2), orderings)
     assert abs(table[(("W", "V"), "cross")] + 0.5) < 1e-12
+
+
+def test_raw_witness_must_be_finite_and_hermitian():
+    rho = FIXED_STATES["bell_psi_plus"][0]
+    skew = detection.wiring(1, [2, 2], [(np.arange(16.0).reshape(4, 4), [(0, 0), (0, 1)])])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        detection.expectation(skew, rho)
+    bad = np.eye(4)
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        detection.compile_wiring(detection.wiring(1, [2, 2], [(bad, [(0, 0), (0, 1)])]))
+
+
+def test_evaluator_rejects_non_finite_state():
+    evaluate = detection.compile_wiring(detection.wiring(1, [2, 2], [("W", [(0, 0), (0, 1)])]))
+    rho = FIXED_STATES["bell_psi_plus"][0].copy()
+    rho[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate(rho)
+    with pytest.raises(ValueError, match="shape"):
+        evaluate(np.eye(2) / 2.0)
+
+
+def test_find_threshold_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="not finite"):
+        detection.find_threshold(lambda p: -1.0 if p < 0.3 else math.nan, 0.0, 1.0)
+
+
+def test_sweep_rejects_non_finite_grid_values():
+    # finite entries whose two-copy products overflow to inf past t=0.5
+    def blowup(t):
+        scale = 1e200 if t > 0.5 else 1.0
+        return scale * np.eye(4, dtype=complex) / 4.0
+
+    fam = StateFamily("toy_blowup", 2, (2, 2), "t", (0.0, 1.0), blowup)
+    spec = detection.wiring(2, [2, 2], [("W3", [(0, 1), (1, 0)])])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        detection.sweep(spec, fam, grid_points=5)
+
+
+def test_sweep_assembles_the_wiring_once(monkeypatch):
+    calls = []
+    assemble = detection.assemble
+
+    def counting(spec):
+        calls.append(spec)
+        return assemble(spec)
+
+    monkeypatch.setattr(detection, "assemble", counting)
+    spec = detection.wiring(
+        2, [2, 2], [("P", [(0, 0), (1, 1)]), ("W3", [(0, 1), (1, 0)])]
+    )
+    report = detection.sweep(spec, FAMILIES["werner_a"], 201)
+    assert len(report.thresholds) == 1  # the bisection ran too
+    assert calls == [spec]
+
+
+PAIR_NAMES = ("W", "V", "W1", "W2", "W3", "W4", "P", "P_b")
+
+
+@st.composite
+def placed_wirings(draw):
+    """A random wiring (copies, base dims <= 64 in total) with its state.
+
+    Returns (spec, local matrices, slot groups, rho) so the oracle sees
+    the same matrices the wiring resolves.
+    """
+    base_dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    base_total = int(np.prod(base_dims))
+    max_copies = max(k for k in (1, 2, 3) if base_total**k <= 64)
+    copies = draw(st.integers(1, max_copies))
+    n = len(base_dims)
+    order = draw(st.permutations(range(n * copies)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups, mats, entries = [], [], []
+    pos = 0
+    while pos < len(order) and draw(st.booleans()):
+        size = draw(st.integers(1, min(3, len(order) - pos)))
+        flats = order[pos:pos + size]
+        pos += size
+        group = [divmod(f, n) for f in flats]
+        local_dims = [base_dims[p] for _, p in group]
+        choices = ["raw"]
+        if local_dims == [2, 2]:
+            choices += PAIR_NAMES
+        if local_dims == [2, 2, 2]:
+            choices.append("WW1")
+        name = draw(st.sampled_from(choices))
+        if name == "raw":
+            d = int(np.prod(local_dims))
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            mat = g + g.conj().T
+            mat /= np.linalg.norm(mat, 2)  # unit norm keeps |value| <= 27
+            entries.append((mat, group))
+        elif name == "P_b":
+            b = draw(st.floats(1.0, 100.0))
+            mat = catalog("P_b", b=b).matrix
+            entries.append((name, group, b))
+        else:
+            mat = catalog(name).matrix
+            entries.append((name, group))
+        groups.append(group)
+        mats.append(mat)
+    g = rng.standard_normal((base_total, base_total)) + 1j * rng.standard_normal((base_total, base_total))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return detection.wiring(copies, base_dims, entries), mats, groups, rho
+
+
+@settings(max_examples=100, deadline=None)
+@given(placed_wirings())
+def test_expectation_matches_index_loop_oracle(case):
+    spec, mats, groups, rho = case
+    want = expectation_oracle(mats, groups, list(spec.base_dims), spec.copies, rho)
+    assert abs(want.imag) < 1e-12
+    assert abs(detection.expectation(spec, rho) - want.real) < 1e-12

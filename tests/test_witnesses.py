@@ -100,3 +100,14 @@ def test_validate_witness_reports():
     psd = witnesses.validate_witness(witnesses.catalog("P"), samples=100, seed=11)
     assert psd.passed
     assert psd.kind == "positive_semidefinite"
+
+
+def test_fixed_catalog_matrices_are_read_only():
+    before = witnesses.catalog("W").matrix.copy()
+    with pytest.raises(ValueError):
+        witnesses.catalog("W").matrix[0, 0] = 99.0
+    assert np.array_equal(witnesses.catalog("W").matrix, before)
+    # P_b is built per call, from a copy of the shared core
+    pb = witnesses.catalog("P_b", b=2.0).matrix
+    pb[0, 0] = 0.0
+    assert witnesses.catalog("P").matrix[0, 0] == 1.0
