@@ -128,6 +128,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_concentrate(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     rows = []
     all_ok = True

@@ -12,6 +12,10 @@ Physical quantities (probability, output state) use the normalized
 projector on the normalized input; the unnormalized bookkeeping, whose
 ratio 1/(d^2 p) can exceed 1 and is therefore not itself a probability,
 is tracked separately and cross-checked, never silently substituted.
+
+Only pure states are handled: with |phi> reshaped to the d x d matrix
+Phi = Psi^T and the measurement vector to V, the (A, B') amplitudes are
+Phi conj(V) Phi.  MAX_DIM caps the d^2 x d^2 output state, so d <= 16.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, inverse, real_trace
-from .multipartite import embed, partial_trace, tensor_power
+from .linalg import MAX_DIM, dagger, inverse
 from .states import bell, projector, schmidt_state
 
 CROSS_CHECK_TOL = 1e-10
@@ -46,6 +49,10 @@ def _checked_psi(psi_mat: np.ndarray) -> np.ndarray:
     psi_mat = np.asarray(psi_mat, dtype=complex)
     if psi_mat.ndim != 2 or psi_mat.shape[0] != psi_mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {psi_mat.shape}")
+    if psi_mat.shape[0] ** 2 > MAX_DIM:
+        raise ValueError(
+            f"output state dimension {psi_mat.shape[0]}^2 exceeds MAX_DIM={MAX_DIM}"
+        )
     norm2 = float(np.trace(dagger(psi_mat) @ psi_mat).real)
     if abs(norm2 - 1.0) > 1e-10:
         raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within 1e-10")
@@ -81,32 +88,33 @@ def measurement_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, floa
     return vec, float(np.linalg.norm(vec))
 
 
+def _outer_amplitudes(phi_mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Flat (A, B') amplitudes of <vec|_{B,A'} |phi>|phi>, phi_mat[a, b] = <ab|phi>."""
+    d = phi_mat.shape[0]
+    return (phi_mat @ vec.reshape(d, d).conj() @ phi_mat).reshape(-1)
+
+
 def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
     """Run the protocol on two copies of |phi> and report the A,B' state."""
     psi_mat = _checked_psi(psi_mat)
     d = psi_mat.shape[0]
     phi = schmidt_state(psi_mat)
-    rho2, full = tensor_power(projector(phi), [d, d], 2)
     vec, norm = measurement_vector(psi_mat, kind)
     if norm < 1e-14:
         raise ValueError("degenerate measurement vector")
-    proj_meas = embed(projector(vec / norm), [d, d], [1, 2], full)
-    sandwich = proj_meas @ rho2 @ proj_meas
-    probability = real_trace(sandwich, tol=1e-10)
+    out = _outer_amplitudes(phi.reshape(d, d), vec / norm)
+    probability = float(np.vdot(out, out).real)
     if probability < 1e-14:
         raise ValueError(f"measurement outcome has probability {probability:.3e}")
-    reduced = partial_trace(sandwich, full, [1, 2])
-    output = reduced / probability
+    output = projector(out) / probability
 
     target = phi if kind == "m" else bell("psi_plus", d)
     fidelity = float((target.conj() @ output @ target).real)
 
-    # unnormalized bookkeeping on the raw vector (1 (x) Psi)|psi+>,
-    # whose squared norm is 1/d under Tr(Psi^dag Psi) = 1
-    phi_raw = np.kron(np.eye(d, dtype=complex), psi_mat) @ bell("psi_plus", d)
-    rho2_raw, _ = tensor_power(projector(phi_raw), [d, d], 2)
-    weight_op = embed(projector(vec), [d, d], [1, 2], full)
-    raw_weight = real_trace(weight_op @ rho2_raw, tol=1e-10)
+    # unnormalized bookkeeping on the raw vector (1 (x) Psi)|psi+>, which
+    # reshapes to Psi^T / sqrt d, against the raw measurement vector
+    raw = _outer_amplitudes(psi_mat.T / np.sqrt(d), vec)
+    raw_weight = float(np.vdot(raw, raw).real)
 
     return ConcentrationResult(
         output_state=output,
@@ -126,16 +134,13 @@ def probability_consistency(psi_mat: np.ndarray, kind: str) -> tuple[float, floa
     equals d^-2 times the unnormalized target projector, so its trace
     (the raw measurement weight) must equal d^-2 times the target's
     trace: d^-3 for kind "m", d^-2 for kind "M".  Returns
-    (lhs, rhs, |lhs - rhs|) with lhs the dense evaluation.
+    (lhs, rhs, |lhs - rhs|) with lhs the weight `concentrate` reports.
     """
     psi_mat = _checked_psi(psi_mat)
     d = psi_mat.shape[0]
     lhs = concentrate(psi_mat, kind).raw_weight
-    if kind == "m":
-        phi_raw = np.kron(np.eye(d, dtype=complex), psi_mat) @ bell("psi_plus", d)
-        overlap = float(np.vdot(phi_raw, phi_raw).real)
-    else:
-        overlap = 1.0
+    # target trace: |(1 (x) Psi)|psi+>|^2 = Tr(Psi^dag Psi)/d for "m", 1 for "M"
+    overlap = float(np.vdot(psi_mat, psi_mat).real) / d if kind == "m" else 1.0
     rhs = overlap / d**2
     return lhs, rhs, abs(lhs - rhs)
 

@@ -50,7 +50,7 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ascending and eigenvectors as columns of a unitary matrix.  Input
     that is not Hermitian within HERMITICITY_TOL is rejected: a defect
     that large usually means an operator was assembled wrong, and
-    symmetrizing would bury the bug.
+    symmetrizing would bury the bug.  Non-finite input is rejected too.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -58,7 +58,7 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {a.shape[0]} exceeds MAX_DIM={MAX_DIM}")
     defect = hermiticity_defect(a)
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:  # negated, so a NaN or inf defect fails too
         raise ValueError(
             f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e} "
             f"exceeds {HERMITICITY_TOL:.0e}"
@@ -93,16 +93,3 @@ def inverse(a: np.ndarray) -> np.ndarray:
     if residual > 1e-9 * n:
         raise ValueError(f"inversion residual {residual:.3e} exceeds {1e-9 * n:.3e}")
     return inv
-
-
-def real_trace(a: np.ndarray, tol: float = 1e-9) -> float:
-    """Trace of ``a``, with its imaginary part checked against ``tol``.
-
-    Used where the result is real on physical grounds (Hermitian
-    observable against a Hermitian state); a residue above ``tol`` is a
-    construction bug, not noise, so it raises instead of truncating.
-    """
-    t = complex(np.trace(np.asarray(a)))
-    if abs(t.imag) > tol:
-        raise ValueError(f"trace has imaginary residue {t.imag:.3e} above {tol:.0e}")
-    return t.real

@@ -155,16 +155,17 @@ def check_density_matrix(
     trace_tol: float = 1e-10,
     eig_floor: float = -1e-9,
 ) -> None:
-    """Raise unless ``rho`` is Hermitian, unit-trace, and PSD within tolerance."""
+    """Raise unless ``rho`` is finite, Hermitian, unit-trace, and PSD within tolerance."""
     rho = np.asarray(rho, dtype=complex)
     if dims is not None:
         rho = _as_square(rho, dims)
+    # negated comparisons, so that NaN and inf entries fail them too
     defect = hermiticity_defect(rho)
-    if defect > herm_tol:
+    if not defect <= herm_tol:
         raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:
         raise ValueError(f"density matrix trace {tr} differs from 1")
     low = min_eigenvalue(rho)
-    if low < eig_floor:
+    if not low >= eig_floor:
         raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")

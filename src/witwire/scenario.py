@@ -12,10 +12,10 @@ canonical file reproduces it byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .detection import Assignment, DetectionReport, ThresholdResult, WiringSpec, expectation, sweep
-from .states import FAMILIES, FIXED_STATES, StateFamily
+from .states import FAMILIES, FIXED_STATES
 
 SCENARIO_VERSION = 1
 
@@ -267,7 +267,7 @@ def run_scenario(s: Scenario, points_override: int | None = None) -> ScenarioRun
         raise ValueError(
             f"grid [{lo}, {hi}] outside {family.name} range [{flo}, {fhi}]"
         )
-    bounded = _family_slice(family, lo, hi)
+    bounded = replace(family, param_range=(lo, hi))
     if s.witness_param is None:
         return ScenarioRun(s, "sweep", reports=((None, sweep(s.wiring, bounded, points)),))
     reports = []
@@ -275,18 +275,6 @@ def run_scenario(s: Scenario, points_override: int | None = None) -> ScenarioRun
         wired = _with_witness_param(s.wiring, s.witness_param.witness, b)
         reports.append((b, sweep(wired, bounded, points)))
     return ScenarioRun(s, "sweep", reports=tuple(reports))
-
-
-def _family_slice(family: StateFamily, lo: float, hi: float) -> StateFamily:
-    """The same family with its parameter range restricted to [lo, hi]."""
-    return StateFamily(
-        name=family.name,
-        n_parties=family.n_parties,
-        dims=family.dims,
-        param_name=family.param_name,
-        param_range=(lo, hi),
-        generator=family.generator,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,16 @@ dimension with Python-level loops.
 
 Slot convention matches the library: slot 0 is the most significant
 digit of the flat index.
+
+``concentration_oracle`` is the one exception: it takes |phi> and the
+measurement vector from the library, then runs the protocol densely
+with ``np.kron`` and the index-loop oracles above.
 """
 
 import numpy as np
+
+from witwire.concentration import measurement_vector
+from witwire.states import schmidt_state
 
 
 def unravel(flat, dims):
@@ -144,3 +151,31 @@ def expectation_oracle(local_mats, slots, base_dims, copies, rho):
                 ]
             acc += term
     return acc
+
+
+def concentration_oracle(psi_mat, kind):
+    """The two-copy protocol as dense matrices on slots A, B, A', B'.
+
+    rho^(x)2 is the Kronecker square of |phi><phi|, the measurement
+    projector is placed on (B, A') by ``embed_oracle``, and the (A, B')
+    state is read off by ``partial_trace_oracle``.  Returns
+    (output_state, probability, fidelity_with_target, raw_weight).
+    About 0.3 s at d=4, where the two-copy matrices are 256 x 256.
+    """
+    d = psi_mat.shape[0]
+    full = [d] * 4
+    psi_plus = np.eye(d).reshape(-1) / np.sqrt(d)
+    phi = schmidt_state(psi_mat)
+    phi_raw = np.kron(np.eye(d), psi_mat) @ psi_plus
+    vec, norm = measurement_vector(psi_mat, kind)
+    # the raw projector |vec><vec| on (B, A'); the normalized one is it / norm^2
+    meas = embed_oracle(np.outer(vec, vec.conj()), [d, d], [1, 2], full)
+    rho2 = np.kron(np.outer(phi, phi.conj()), np.outer(phi, phi.conj()))
+    sandwich = meas @ rho2 @ meas / norm**4
+    probability = np.trace(sandwich).real
+    output = partial_trace_oracle(sandwich, full, [1, 2]) / probability
+    target = phi if kind == "m" else psi_plus
+    fidelity = (target.conj() @ output @ target).real
+    rho2_raw = np.kron(np.outer(phi_raw, phi_raw.conj()), np.outer(phi_raw, phi_raw.conj()))
+    raw_weight = np.trace(meas @ rho2_raw).real
+    return output, probability, fidelity, raw_weight

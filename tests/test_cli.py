@@ -171,6 +171,22 @@ def test_concentrate_subcommand(tmp_path, capsys):
     assert len(payload["samples"]) == 4
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_concentrate_rejects_nonpositive_samples(samples, capsys):
+    code = cli.main(["concentrate", "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: samples must be >= 1" in captured.err
+    assert "pass" not in captured.out
+
+
+def test_concentrate_rejects_dimension_above_cap(capsys):
+    code = cli.main(["concentrate", "--d", "17", "--samples", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "MAX_DIM" in err
+
+
 def _run_reproduce_ex1(command, env, cwd):
     proc = subprocess.run(
         [*command, "reproduce", "ex1"],

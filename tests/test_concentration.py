@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import concentration_oracle
 from witwire import concentration as conc
 from witwire.multipartite import check_density_matrix
 from witwire.states import bell, projector
@@ -108,3 +110,58 @@ def test_random_schmidt_operator_contract():
 def test_concentrate_rejects_unnormalized_input():
     with pytest.raises(ValueError):
         conc.concentrate(np.eye(2, dtype=complex), "m")
+
+
+def _assert_matches_oracle(psi_mat, kind, tol=1e-10):
+    res = conc.concentrate(psi_mat, kind)
+    output, probability, fidelity, raw_weight = concentration_oracle(psi_mat, kind)
+    assert np.max(np.abs(res.output_state - output)) < tol
+    assert abs(res.probability - probability) < tol
+    assert abs(res.fidelity_with_target - fidelity) < tol
+    assert abs(res.raw_weight - raw_weight) < tol
+
+
+def test_concentrate_matches_dense_oracle():
+    rng = np.random.default_rng(127)
+    for d, count in ((2, 10), (3, 4), (4, 1)):
+        for kind in ("m", "M"):
+            for _ in range(count):
+                _assert_matches_oracle(conc.random_schmidt_operator(d, rng), kind)
+
+
+@st.composite
+def schmidt_operators(draw):
+    d = draw(st.sampled_from([2, 3]))
+    parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    re = np.array(draw(st.lists(parts, min_size=d * d, max_size=d * d)))
+    im = np.array(draw(st.lists(parts, min_size=d * d, max_size=d * d)))
+    mat = (re + 1j * im).reshape(d, d)
+    assume(np.linalg.norm(mat) > 1e-3 and np.linalg.cond(mat) <= conc.CONDITION_CAP)
+    return mat / np.linalg.norm(mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(schmidt_operators(), st.sampled_from(["m", "M"]))
+def test_concentrate_matches_dense_oracle_property(psi_mat, kind):
+    _assert_matches_oracle(psi_mat, kind)
+
+
+def test_concentrate_beyond_two_copy_dense_limit():
+    # no d^4 x d^4 matrix is formed, so only the d^2 x d^2 output caps d
+    rng = np.random.default_rng(131)
+    for d in (5, 16):
+        for kind in ("m", "M"):
+            psi_mat = conc.random_schmidt_operator(d, rng)
+            res = conc.concentrate(psi_mat, kind)
+            assert res.output_state.shape == (d * d, d * d)
+            assert abs(res.fidelity_with_target - 1.0) < 1e-9
+            assert 0.0 < res.probability <= 1.0 + 1e-12
+            _, _, delta = conc.probability_consistency(psi_mat, kind)
+            assert delta < 1e-9
+
+
+def test_concentrate_rejects_output_above_max_dim():
+    psi_mat = np.eye(17, dtype=complex) / np.sqrt(17.0)  # 17^2 = 289 > MAX_DIM
+    for call in (conc.concentrate, conc.probability_consistency, conc.measurement_vector):
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            call(psi_mat, "m")

@@ -45,6 +45,14 @@ def test_hermitian_eig_rejects_non_hermitian():
         linalg.hermitian_eig(a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermitian_eig_rejects_non_finite(bad):
+    a = np.eye(4, dtype=complex) / 4.0
+    a[0, 0] = bad
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.hermitian_eig(a)
+
+
 def test_min_eigenvalue_known_values():
     assert abs(linalg.min_eigenvalue(np.diag([3.0, -1.0, 1.0])) + 1.0) < 1e-14
     xx = np.kron(linalg.PAULI_X, linalg.PAULI_X)
@@ -65,21 +73,6 @@ def test_inverse_rejects_singular():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(ValueError):
         linalg.inverse(singular)
-
-
-def test_real_trace_accepts_hermitian_product():
-    rng = np.random.default_rng(43)
-    a = random_hermitian(rng, 4)
-    b = random_hermitian(rng, 4)
-    # Tr(AB) is real for hermitian A, B even though AB is not hermitian
-    val = linalg.real_trace(a @ b)
-    assert abs(val - np.trace(a @ b).real) < 1e-12
-
-
-def test_real_trace_rejects_imaginary_residue():
-    a = np.array([[1.0j]])
-    with pytest.raises(ValueError):
-        linalg.real_trace(a)
 
 
 def test_pauli_matrices():

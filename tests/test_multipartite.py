@@ -164,3 +164,11 @@ def test_check_density_matrix():
     neg = np.diag([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         mp.check_density_matrix(neg, [2, 3])
+
+
+def test_check_density_matrix_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 0] = bad
+        with pytest.raises(ValueError):
+            mp.check_density_matrix(rho, [2, 2])

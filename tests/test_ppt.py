@@ -49,6 +49,13 @@ def test_ppt_check_validates_the_state():
         ppt.ppt_check(not_a_state, [2, 2], [1])
 
 
+def test_ppt_check_rejects_nan_state():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        ppt.ppt_check(rho, [2, 2], [1])
+
+
 def test_complementary_slots_share_the_spectrum():
     rng = np.random.default_rng(83)
     for _ in range(25):
