@@ -3,11 +3,11 @@
 Pair witnesses from a small catalog are placed on chosen (copy, party)
 slots of a k-copy state.  Each wiring is compiled once into an
 evaluator that traces it against rho^(x)k by an O(D^2) elementwise
-contraction, and one compiled wiring serves a whole sweep.  Sign
-changes of that trace along a noise parameter are located by
-bisection, PPT gives the independent entanglement verdict, and a
-two-copy measurement protocol concentrates partially entangled pure
-states.
+contraction.  Along the noise parameter of an affine family that
+trace is a polynomial of degree k, so a sweep evaluates it at k+1
+points and locates its sign changes by bisection on the interpolant.
+PPT gives the independent entanglement verdict, and a two-copy
+measurement protocol concentrates partially entangled pure states.
 """
 
 from .detection import (

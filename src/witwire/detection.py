@@ -10,7 +10,10 @@ nonnegative, which is the whole point of the construction.
 
 ``compile_wiring`` validates a wiring and builds its operator once;
 the evaluator it returns takes each trace as an O(D^2) elementwise
-contraction, so a sweep and its bisections reuse one compiled wiring.
+contraction.  A sweep needs a family that is affine in its parameter,
+so that the trace is a polynomial of degree at most ``copies``: it
+evaluates the wiring at copies+1 Chebyshev nodes (and at both ends, as
+a check) and reads its grid and its bisections off the interpolant.
 """
 
 from __future__ import annotations
@@ -310,14 +313,56 @@ class DetectionReport:
     wiring: WiringSpec = field(repr=False)
 
 
+def _chebyshev_interpolant(
+    f: Callable[[float], float], lo: float, hi: float, degree: int
+) -> tuple[Callable, float]:
+    """Newton form of the degree-``degree`` polynomial through f at Chebyshev nodes.
+
+    The degree+1 nodes are the Chebyshev points of the first kind on
+    [lo, hi], so the endpoints are not among them.  Returns the
+    polynomial, which takes a float or an array, and max |f(node)|.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = [
+        mid + half * math.cos((2 * j + 1) * math.pi / (2 * degree + 2))
+        for j in range(degree + 1)
+    ]
+    if len(set(nodes)) <= degree:
+        raise ValueError(
+            f"range [{lo!r}, {hi!r}] is too narrow for {degree + 1} distinct interpolation nodes"
+        )
+    coeffs = [f(x) for x in nodes]
+    scale = max(abs(c) for c in coeffs)
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - j])
+
+    def poly(p):
+        v = coeffs[degree]
+        for i in range(degree - 1, -1, -1):
+            v = coeffs[i] + (p - nodes[i]) * v
+        return v
+
+    return poly, scale
+
+
 def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> DetectionReport:
     """Evaluate the wiring on a uniform parameter grid and locate sign changes.
 
+    The family must be affine in its parameter, as every shipped family
+    is: then Tr(Wiring rho(p)^(x)k) is a polynomial of degree at most
+    k = ``spec.copies`` in p.  The wiring is compiled once and evaluated
+    at k+1 Chebyshev nodes of the range, plus once at each end as a
+    check; the grid values and every bisection are read off the
+    interpolating polynomial.  A non-finite wiring value raises, and so
+    does an end value the polynomial misses by more than
+    1e-12 * (1 + max|node value|), which is how a family that is not
+    affine shows.  A zero-width range takes one direct evaluation; a
+    range too narrow for k+1 distinct nodes raises.
+
     Every consecutive grid pair with opposite signs feeds the bisection,
     so a sweep resolves each crossing to 1e-9 regardless of grid
-    resolution (as long as the grid brackets it at all).  The wiring is
-    compiled once for the grid and every bisection; a non-finite grid
-    value raises.
+    resolution (as long as the grid brackets it at all).
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -328,11 +373,27 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
     lo, hi = family.param_range
     params = np.linspace(lo, hi, grid_points)
     evaluate = compile_wiring(spec)
-    f = lambda p: evaluate(family(p))
-    values = [f(p) for p in params]
-    for p, v in zip(params, values):
+
+    def direct(p: float) -> float:
+        v = evaluate(family(p))
         if not math.isfinite(v):
             raise ValueError(f"wiring value at {family.param_name}={p!r} is not finite: {v}")
+        return v
+
+    if lo == hi:
+        f = direct
+        values = [direct(lo)] * grid_points
+    else:
+        f, scale = _chebyshev_interpolant(direct, lo, hi, spec.copies)
+        for end in (lo, hi):
+            miss = abs(f(end) - direct(end))
+            if miss > 1e-12 * (1.0 + scale):
+                raise ValueError(
+                    f"family {family.name} is not affine in {family.param_name}: the "
+                    f"degree-{spec.copies} interpolant misses the wiring value at "
+                    f"{family.param_name}={end!r} by {miss:.3e}"
+                )
+        values = f(params).tolist()
     thresholds = []
     for i in range(len(params) - 1):
         vl, vr = values[i], values[i + 1]

@@ -13,6 +13,8 @@ two copies of a three-qubit system also 64).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAX_DIM = 256
@@ -34,8 +36,14 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of ``a`` from its conjugate transpose."""
+    """Largest entrywise deviation of ``a`` from its conjugate transpose.
+
+    Non-finite input gives inf without the subtraction, which for inf
+    entries would be inf - inf.
+    """
     a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        return math.inf
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 

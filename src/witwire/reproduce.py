@@ -127,7 +127,12 @@ def _ex3(seed: int) -> tuple[list[dict], list[str]]:
     _, report = run.reports[0]
     checks = [
         _eq("cyclic_at_zero", report.values[0], -0.25, 1e-10),
-        _eq("cyclic_threshold", _single_threshold(report, "ex3_cyclic"), 0.206, 1e-3),
+        _eq(
+            "cyclic_threshold",
+            _single_threshold(report, "ex3_cyclic"),
+            1.0 - 2.0 ** (-1.0 / 3.0),  # the closed form is ((w - 1)^3 + 1/2) / 2
+            1e-6,
+        ),
     ]
     family = FAMILIES["werner_w"]
     grid = np.linspace(0.0, 1.0, 101)
@@ -231,14 +236,14 @@ def _ex5(seed: int) -> tuple[list[dict], list[str]]:
     if abs(root - reference) <= 0.002:
         checks.append(_eq("cross_threshold", root, reference, 0.002))
     else:
-        checks.append(_recorded("cross_threshold_dense", root))
+        checks.append(_eq("cross_threshold_dense", root, 2.0 / 5.0, 1e-6))
         notes.append(
             f"reference threshold {reference} not confirmed: the dense sign change "
             f"sits at {round15(root)}. The reference value descends from a "
             "closed-form polynomial whose printed terms are all nonnegative on "
             "[0, 1], so that expression cannot change sign and its root cannot "
-            "be checked against; the dense trace is authoritative here and its "
-            "root is recorded instead."
+            "be checked against; the dense trace is authoritative here, and its "
+            "root is asserted against the exact value 2/5 instead."
         )
     checks.append(_eq("cross_at_zero", rep_cross.values[0], -4.0 / 9.0, 1e-10))
 

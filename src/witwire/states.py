@@ -131,7 +131,13 @@ def schmidt_state(psi_mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A named one-parameter family of density matrices."""
+    """A named one-parameter family of density matrices.
+
+    ``detection.sweep`` needs the generator to be affine in its
+    parameter, rho(p) = rho0 + p * Delta, as every shipped family is:
+    it evaluates a k-copy wiring at k+1 points only, and raises when
+    the end values show the family is not affine.
+    """
 
     name: str
     n_parties: int

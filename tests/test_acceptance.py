@@ -126,8 +126,8 @@ def test_03_example_three_cyclic_wiring():
         failures.append(f"{len(report.thresholds)} sign changes, expected 1")
     else:
         root = report.thresholds[0].root
-        if abs(root - 0.206) > 1e-3:
-            failures.append(f"root {root!r} not within 0.206 +- 0.001")
+        if abs(root - (1.0 - 2.0 ** (-1.0 / 3.0))) > 1e-6:
+            failures.append(f"root {root!r} not within 1 - 2^(-1/3) +- 1e-6")
 
     single_min = min(
         float(np.trace(catalog(name).matrix @ family(float(w))).real)

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import expectation_oracle
 from witwire import detection
-from witwire.states import FAMILIES, FIXED_STATES, StateFamily, projector, bell
+from witwire.reproduce import load_scenario
+from witwire.states import FAMILIES, FIXED_STATES, StateFamily, bell, projector, werner_a
 from witwire.witnesses import catalog
 
 
@@ -222,17 +224,56 @@ def test_sweep_assembles_the_wiring_once(monkeypatch):
     assert calls == [spec]
 
 
+@pytest.mark.parametrize("points", [11, 401])
+def test_sweep_calls_the_family_copies_plus_three_times(points):
+    for name, family in (("ex3_cyclic", "werner_w"), ("ex5_cross", "noisy_w")):
+        spec = load_scenario(name).wiring
+        calls = []
+        fam = FAMILIES[family]
+
+        def counting(p, generator=fam.generator):
+            calls.append(p)
+            return generator(p)
+
+        report = detection.sweep(spec, replace(fam, generator=counting), points)
+        assert len(report.values) == points
+        assert len(report.thresholds) == 1  # the bisection ran too
+        assert len(calls) <= spec.copies + 3
+
+
+def test_sweep_of_a_zero_width_range_is_one_evaluation():
+    spec = load_scenario("ex5_cross").wiring
+    fam = FAMILIES["noisy_w"]
+    report = detection.sweep(spec, replace(fam, param_range=(0.3, 0.3)), 7)
+    want = detection.compile_wiring(spec)(fam(0.3))
+    assert report.params == (0.3,) * 7
+    assert report.values == (want,) * 7
+    assert report.thresholds == ()
+    # a range too narrow for distinct interpolation nodes raises instead
+    narrow = replace(fam, param_range=(0.3, math.nextafter(0.3, 1.0)))
+    with pytest.raises(ValueError, match="too narrow"):
+        detection.sweep(spec, narrow, 7)
+
+
+def test_sweep_rejects_a_family_that_is_not_affine():
+    fam = StateFamily("toy_cos", 2, (2, 2), "t", (0.0, 1.5), lambda t: werner_a(math.cos(t)))
+    spec = detection.wiring(1, [2, 2], [("W3", [(0, 0), (0, 1)])])
+    with pytest.raises(ValueError, match="toy_cos is not affine"):
+        detection.sweep(spec, fam, grid_points=11)
+
+
 PAIR_NAMES = ("W", "V", "W1", "W2", "W3", "W4", "P", "P_b")
 
 
 @st.composite
-def placed_wirings(draw):
+def placed_wirings(draw, dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3)):
     """A random wiring (copies, base dims <= 64 in total) with its state.
 
-    Returns (spec, local matrices, slot groups, rho) so the oracle sees
-    the same matrices the wiring resolves.
+    ``dims`` draws the base dims.  Returns (spec, local matrices, slot
+    groups, rho) so the oracle sees the same matrices the wiring
+    resolves.
     """
-    base_dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    base_dims = draw(dims)
     base_total = int(np.prod(base_dims))
     max_copies = max(k for k in (1, 2, 3) if base_total**k <= 64)
     copies = draw(st.integers(1, max_copies))
@@ -281,3 +322,23 @@ def test_expectation_matches_index_loop_oracle(case):
     want = expectation_oracle(mats, groups, list(spec.base_dims), spec.copies, rho)
     assert abs(want.imag) < 1e-12
     assert abs(detection.expectation(spec, rho) - want.real) < 1e-12
+
+
+@st.composite
+def family_sweeps(draw):
+    """A random wiring on a shipped family, a sub-range and a point count."""
+    fam = draw(st.sampled_from(sorted(FAMILIES.values(), key=lambda f: f.name)))
+    spec = draw(placed_wirings(st.just(list(fam.dims))))[0]
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    assume(hi - lo > 1e-3)
+    return spec, replace(fam, param_range=(lo, hi)), draw(st.integers(2, 40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_sweeps())
+def test_sweep_values_match_direct_evaluation(case):
+    spec, fam, points = case
+    report = detection.sweep(spec, fam, points)
+    evaluate = detection.compile_wiring(spec)
+    for p, v in zip(report.params, report.values):
+        assert abs(v - evaluate(fam(p))) < 1e-12
