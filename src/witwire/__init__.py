@@ -2,10 +2,11 @@
 
 Pair witnesses from a small catalog are placed on chosen (copy, party)
 slots of a k-copy state.  Each wiring is compiled once into an
-evaluator that traces it against rho^(x)k by an O(D^2) elementwise
-contraction.  Along the noise parameter of an affine family that
-trace is a polynomial of degree k, so a sweep evaluates it at k+1
-points and locates its sign changes by bisection on the interpolant.
+evaluator that contracts the operator of its placed slots with rho
+reduced onto each copy, one copy at a time, without forming rho^(x)k.
+Along the noise parameter of an affine family that trace is a
+polynomial of degree k, so a sweep evaluates it at k+1 points and
+locates its sign changes by bisection on the interpolant.
 PPT gives the independent entanglement verdict, and a two-copy
 measurement protocol concentrates partially entangled pure states.
 """

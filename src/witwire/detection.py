@@ -8,27 +8,29 @@ slots implicitly carry identity.  The expectation Tr(Wiring rho^(x)k)
 can then change sign where every single-copy witness expectation stays
 nonnegative, which is the whole point of the construction.
 
-``compile_wiring`` validates a wiring and builds its operator once;
-the evaluator it returns takes each trace as an O(D^2) elementwise
-contraction.  A sweep needs a family that is affine in its parameter,
-so that the trace is a polynomial of degree at most ``copies``: it
-evaluates the wiring at copies+1 Chebyshev nodes (and at both ends, as
-a check) and reads its grid and its bisections off the interpolant.
+``compile_wiring`` validates a wiring and builds the operator of its
+placed slots once (D_p x D_p, D_p <= D the product of the placed
+dims); the evaluator it returns reduces rho onto each copy's placed
+parties and contracts copy by copy, so no rho^(x)k and no D x D object
+is formed per trace.  ``assemble`` still gives the dense D x D
+operator of a whole wiring, and MAX_DIM caps what it builds.  A sweep
+needs a family that is affine in its parameter, so that the trace is
+a polynomial of degree at most ``copies``: it evaluates the wiring at
+copies+1 Chebyshev nodes (and at both ends, as a check) and reads its
+grid and its bisections off the interpolant.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import witnesses as _witnesses
 from .linalg import HERMITICITY_TOL, MAX_DIM, hermiticity_defect
-from .multipartite import permute_subsystems, tensor_power
 from .states import StateFamily
 
 IMAG_TOL = 1e-9
@@ -101,10 +103,6 @@ class WiringSpec:
     def validate(self) -> None:
         if self.copies < 1:
             raise ValueError(f"copies must be >= 1, got {self.copies}")
-        if int(np.prod(self.full_dims)) > MAX_DIM:
-            raise ValueError(
-                f"full dimension {int(np.prod(self.full_dims))} exceeds MAX_DIM={MAX_DIM}"
-            )
         seen: set[int] = set()
         for asg in self.assignments:
             for copy, party in asg.slots:
@@ -136,39 +134,88 @@ def wiring(
 def assemble(spec: WiringSpec) -> np.ndarray:
     """Dense operator realizing the wiring on the full copy-major slot space.
 
-    The witnesses act on disjoint slots, so the operator is their
-    Kronecker product in assignment order, times identity on the
-    unassigned slots, with the slots then permuted into place.
+    The witnesses act on disjoint slots, so the operator is the product
+    of their tensors, each with its row and column axes moved onto its
+    slots' axes and broadcast over the others, times identity on each
+    unassigned slot.  The factors multiply straight into slot order,
+    in assignment order, so no transposed copy of the result is made.
+    The result is a dense D x D matrix, so the full dimension D is
+    capped at MAX_DIM.
     """
     spec.validate()
     full = spec.full_dims
+    total = math.prod(full)
+    if total > MAX_DIM:
+        raise ValueError(f"full dimension {total} exceeds MAX_DIM={MAX_DIM}")
+    n = len(full)
     factors = []
-    placed: list[int] = []
     for asg in spec.assignments:
         flats = [spec.flat_slot(c, p) for c, p in asg.slots]
-        factors.append(asg.resolve([full[f] for f in flats]))
-        placed += flats
-    rest = [s for s in range(len(full)) if s not in placed]
-    factors.append(np.eye(int(np.prod([full[s] for s in rest])), dtype=complex))
-    op = functools.reduce(np.kron, factors)
-    # op lives on slot order (placed..., rest...); send each slot to its place
-    perm = placed + rest
-    return permute_subsystems(op, [full[s] for s in perm], perm)
+        local = [full[f] for f in flats]
+        order = sorted(range(len(flats)), key=flats.__getitem__)
+        tensor = asg.resolve(local).reshape(local + local)
+        factors.append((tensor.transpose(order + [len(flats) + i for i in order]), flats))
+    placed = {f for _, flats in factors for f in flats}
+    factors += [(np.eye(full[s], dtype=complex), [s]) for s in range(n) if s not in placed]
+    op = np.ones([1] * (2 * n), dtype=complex)
+    for tensor, flats in factors:
+        shape = [1] * (2 * n)
+        for f in flats:
+            shape[f] = shape[n + f] = full[f]
+        op = np.multiply(op, tensor.reshape(shape), order="C")
+    return op.reshape(total, total)
 
 
 def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
-    """Validate and assemble the wiring once; return ``rho -> Tr(W rho^(x)copies)``.
+    """Validate the wiring and build its operator once; return ``rho -> Tr(W rho^(x)copies)``.
 
-    The evaluator takes one copy rho of the base system.  The trace
-    Tr(A B) is the elementwise sum of A * B^T, O(D^2) instead of the
-    O(D^3) product.  It must come out real (Hermitian observable
-    against a Hermitian state); an imaginary residue above 1e-9 raises,
-    because silently discarding it would mask a mis-assembled wiring.
+    Only the placed slots get an operator: the witnesses are assembled
+    as a one-copy wiring on those slots, in copy-major order.  That is
+    a D_p x D_p matrix, D_p being the product of the placed dims, so
+    MAX_DIM caps D_p and not the full dimension D.  Its axes are
+    regrouped once, copy by copy, each copy's rows before its columns.
+
+    The evaluator takes one copy rho of the base system and reduces it
+    onto each copy's placed parties; a copy with none placed gives the
+    scalar Tr rho.  It then contracts the operator with those reduced
+    states from the last copy to the first, one matrix-vector product
+    per copy, and never forms rho^(x)copies.  The value must come out
+    real (Hermitian observable against a Hermitian state); an imaginary
+    residue above 1e-9 raises, because silently discarding it would
+    mask a mis-assembled wiring.
     """
-    op = assemble(spec)
+    spec.validate()
     base_dims = list(spec.base_dims)
-    base_total = int(np.prod(base_dims))
-    copies = spec.copies
+    base_total = math.prod(base_dims)
+    n = len(base_dims)
+    placed = sorted(spec.flat_slot(c, p) for asg in spec.assignments for c, p in asg.slots)
+    position = {f: i for i, f in enumerate(placed)}
+    sub = WiringSpec(
+        copies=1,
+        base_dims=tuple(base_dims[f % n] for f in placed),
+        assignments=tuple(
+            replace(asg, slots=tuple((0, position[spec.flat_slot(c, p)]) for c, p in asg.slots))
+            for asg in spec.assignments
+        ),
+    )
+    # copy-major order keeps each copy's placed slots together, so the
+    # operator's rows and columns split into one block per copy
+    k = spec.copies
+    parties = [tuple(f % n for f in placed if f // n == c) for c in range(k)]
+    blocks = [math.prod(base_dims[p] for p in ps) for ps in parties]
+    op = assemble(sub).reshape(blocks * 2).transpose([a for c in range(k) for a in (c, k + c)])
+    op = np.ascontiguousarray(op).reshape(-1)
+    # rho's tensor has row labels 0..n-1 and column labels n..2n-1; an
+    # unplaced party's column takes its row label, which traces it out,
+    # and the output lists the columns first, so each reduced state
+    # comes out transposed, as Tr(W sigma) = sum W[r, c] sigma[c, r] needs
+    reductions = {
+        ps: (
+            list(range(n)) + [n + i if i in ps else i for i in range(n)],
+            [n + i for i in ps] + list(ps),
+        )
+        for ps in set(parties)
+    }
 
     def evaluate(rho: np.ndarray) -> float:
         rho = np.asarray(rho, dtype=complex)
@@ -179,8 +226,15 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
             )
         if not np.isfinite(rho).all():
             raise ValueError("state has non-finite entries")
-        big, _ = tensor_power(rho, base_dims, copies)
-        value = complex(np.einsum("ij,ji->", op, big))
+        tensor = rho.reshape(base_dims * 2)
+        reduced = {
+            ps: np.einsum(tensor, labels, out).reshape(-1)
+            for ps, (labels, out) in reductions.items()
+        }
+        x = op
+        for c in range(k - 1, -1, -1):
+            x = x.reshape(-1, blocks[c] ** 2) @ reduced[parties[c]]
+        value = complex(x[0])
         if abs(value.imag) > IMAG_TOL:
             raise ValueError(
                 f"expectation has imaginary residue {value.imag:.3e} above {IMAG_TOL:.0e}"

@@ -6,9 +6,14 @@ native operators (``+``, ``-``, ``*``, ``@``, ``np.kron``, ``np.trace``,
 Hermitian eigendecomposition that refuses non-Hermitian input instead of
 symmetrizing silently, and inversion guarded by a condition estimate.
 
-Everything here is sized for small dense problems; MAX_DIM caps the
-operator dimension at 256 (three copies of a two-qubit system need 64,
-two copies of a three-qubit system also 64).
+Everything here is sized for small dense problems; MAX_DIM = 256 caps
+the dense matrices the library builds: the Hermitian eigensolver here
+(so every PPT check), ``multipartite.tensor_power``, the full wiring
+operator from ``detection.assemble`` and the concentration output
+state.  A compiled wiring builds only the operator on its placed
+slots, so there MAX_DIM caps the product of the placed dims, not the
+full k-copy dimension: a wiring on three copies of a three-qubit state
+(D = 512) evaluates as long as its placed dims multiply to at most 256.
 """
 
 from __future__ import annotations

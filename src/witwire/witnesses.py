@@ -122,12 +122,16 @@ def product_state_batch(dims: list[int], count: int, rng: np.random.Generator) -
     """count Haar-random pure product vectors on the given slots, stacked in rows.
 
     Each local state is a vector of standard complex Gaussians,
-    normalized; that is the Haar measure on local pure states.
+    normalized; that is the Haar measure on local pure states.  One
+    draw of shape (2, count, d) per party gives the real parts, then
+    the imaginary parts: the same stream as two (count, d) draws.
     """
     batch = np.ones((count, 1), dtype=complex)
     for d in dims:
-        loc = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-        loc /= np.linalg.norm(loc, axis=1, keepdims=True)
+        parts = rng.standard_normal((2, count, d))
+        parts /= np.sqrt(np.einsum("kbi,kbi->b", parts, parts))[:, None]
+        loc = np.empty((count, d), dtype=complex)
+        loc.real, loc.imag = parts
         batch = (batch[:, :, None] * loc[:, None, :]).reshape(count, -1)
     return batch
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import expectation_oracle
-from witwire import detection
+from witwire import detection, multipartite
 from witwire.reproduce import load_scenario
 from witwire.states import FAMILIES, FIXED_STATES, StateFamily, bell, projector, werner_a
 from witwire.witnesses import catalog
@@ -221,7 +221,72 @@ def test_sweep_assembles_the_wiring_once(monkeypatch):
     )
     report = detection.sweep(spec, FAMILIES["werner_a"], 201)
     assert len(report.thresholds) == 1  # the bisection ran too
-    assert calls == [spec]
+    # one build, of the placed slots only: A, B, A', B' in copy-major order
+    placed = detection.wiring(
+        1, [2, 2, 2, 2], [("P", [(0, 0), (0, 3)]), ("W3", [(0, 1), (0, 2)])]
+    )
+    assert calls == [placed]
+
+
+def test_evaluator_keeps_the_trace_of_a_copy_with_nothing_placed():
+    # copy 1 carries only identity, so it contributes a factor Tr(rho) = 2
+    rho = 2.0 * FAMILIES["werner_a"](0.3)
+    groups = [[(0, 1), (2, 0)], [(2, 1), (0, 0)]]
+    spec = detection.wiring(3, [2, 2], list(zip(("W3", "W"), groups)))
+    mats = [catalog("W3").matrix, catalog("W").matrix]
+    want = expectation_oracle(mats, groups, [2, 2], 3, rho)
+    assert abs(detection.expectation(spec, rho) - want.real) < 1e-12
+    # the same wiring with the empty copy left out scores half as much
+    two = detection.wiring(2, [2, 2], [("W3", [(0, 1), (1, 0)]), ("W", [(1, 1), (0, 0)])])
+    assert abs(want.real - 2.0 * detection.expectation(two, rho)) < 1e-12
+
+
+def test_wiring_with_no_assignments_is_a_power_of_the_trace():
+    rho = 1.5 * FAMILIES["noisy_w"](0.6)
+    for copies in (1, 2, 3):
+        spec = detection.wiring(copies, [2, 2, 2], [])
+        want = expectation_oracle([], [], [2, 2, 2], copies, rho)
+        assert abs(want - 1.5**copies) < 1e-12
+        assert abs(detection.expectation(spec, rho) - 1.5**copies) < 1e-12
+
+
+def test_max_dim_caps_the_placed_slots_not_the_full_dimension():
+    # three copies of a three-qubit state: D = 512, but D_p = 4 * 4 * 8 = 128
+    groups = [[(0, 0), (1, 1)], [(0, 1), (2, 0)], [(0, 2), (1, 0), (2, 2)]]
+    names = ["W3", "W4", "WW1"]
+    spec = detection.wiring(3, [2, 2, 2], list(zip(names, groups)))
+    fam = FAMILIES["noisy_w"]
+    evaluate = detection.compile_wiring(spec)
+    # c = 1 is the maximally mixed state: each witness scores Tr(W)/dim
+    # (W3 1/2, W4 1, WW1 13/24)
+    assert abs(evaluate(fam(1.0)) - 13.0 / 48.0) < 1e-15
+    mats = [catalog(name).matrix for name in names]
+    want = expectation_oracle(mats, groups, [2, 2, 2], 3, fam(0.4))
+    assert abs(evaluate(fam(0.4)) - want.real) < 1e-12
+    report = detection.sweep(spec, fam, 11)
+    assert abs(report.values[-1] - 13.0 / 48.0) < 1e-12
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        detection.assemble(spec)  # the dense D x D operator is still capped
+    # three WW1 witnesses place all nine slots: D_p = 512
+    full = detection.wiring(3, [2, 2, 2], [("WW1", [(c, 0), (c, 1), (c, 2)]) for c in range(3)])
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        detection.compile_wiring(full)
+
+
+def test_evaluation_builds_no_kronecker_product_and_no_tensor_power(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the evaluation path")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(multipartite, "tensor_power", refuse)
+    ring = detection.wiring(
+        4, [2, 2], [("W1", [(0, 1), (1, 0)]), ("W2", [(1, 1), (2, 0)]),
+                    ("W3", [(2, 1), (3, 0)]), ("W4", [(3, 1), (0, 0)])]
+    )
+    rho = FAMILIES["werner_w"](0.3)
+    assert math.isfinite(detection.compile_wiring(ring)(rho))
+    report = detection.sweep(load_scenario("ex3_cyclic").wiring, FAMILIES["werner_w"], 201)
+    assert abs(report.thresholds[0].root - (1.0 - 2.0 ** (-1.0 / 3.0))) < 1e-6
 
 
 @pytest.mark.parametrize("points", [11, 401])

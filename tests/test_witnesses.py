@@ -72,6 +72,19 @@ def test_product_state_batch_is_normalized():
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
+def test_product_state_batch_keeps_the_two_draw_stream():
+    # real parts then imaginary parts of each party, as two separate draws
+    dims, count = [2, 3, 2], 40
+    batch = witnesses.product_state_batch(dims, count, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    want = np.ones((count, 1), dtype=complex)
+    for d in dims:
+        loc = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+        loc /= np.linalg.norm(loc, axis=1, keepdims=True)
+        want = (want[:, :, None] * loc[:, None, :]).reshape(count, -1)
+    assert np.max(np.abs(batch - want)) < 1e-15
+
+
 def test_min_product_expectation_nonnegative_for_witnesses():
     # block positivity: product states never see the negative eigenvalue
     for name in ("W", "V", "W1", "W2", "W3", "W4", "WW1"):
