@@ -11,11 +11,14 @@ The measurement vectors |m> = (1 (x) (Psi*)^-1)|psi+> and
 Physical quantities (probability, output state) use the normalized
 projector on the normalized input; the unnormalized bookkeeping, whose
 ratio 1/(d^2 p) can exceed 1 and is therefore not itself a probability,
-is tracked separately and cross-checked, never silently substituted.
+is tracked separately and checked against its closed form.
 
-Only pure states are handled: with |phi> reshaped to the d x d matrix
-Phi = Psi^T and the measurement vector to V, the (A, B') amplitudes are
-Phi conj(V) Phi.  MAX_DIM caps the d^2 x d^2 output state, so d <= 16.
+Only pure states are handled, as d x d matrices: (A (x) B)|psi+>
+reshapes to A B^T / sqrt d, so |phi> is Phi = Psi^T and |m>, |M> are
+(Psi^dag)^-1 and (Psi^dag Psi^dag)^-1 over sqrt d; no Kronecker
+product is formed.  With V the reshaped measurement vector, the
+(A, B') amplitudes are Phi conj(V) Phi.  MAX_DIM caps the d^2 x d^2
+output state, so d <= 16.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import MAX_DIM, dagger, inverse
-from .states import bell, projector, schmidt_state
+from .states import bell, check_schmidt_operator, projector, schmidt_state
 
-CROSS_CHECK_TOL = 1e-10
 CONDITION_CAP = 1e2
 
 
@@ -46,45 +48,31 @@ class ConcentrationResult:
 
 
 def _checked_psi(psi_mat: np.ndarray) -> np.ndarray:
-    psi_mat = np.asarray(psi_mat, dtype=complex)
-    if psi_mat.ndim != 2 or psi_mat.shape[0] != psi_mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {psi_mat.shape}")
+    psi_mat = check_schmidt_operator(psi_mat)
     if psi_mat.shape[0] ** 2 > MAX_DIM:
         raise ValueError(
             f"output state dimension {psi_mat.shape[0]}^2 exceeds MAX_DIM={MAX_DIM}"
         )
-    norm2 = float(np.trace(dagger(psi_mat) @ psi_mat).real)
-    if abs(norm2 - 1.0) > 1e-10:
-        raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within 1e-10")
     return psi_mat
 
 
 def measurement_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
     """Unnormalized measurement vector for the (B, A') pair, with its norm.
 
-    For kind "M" the two equivalent constructions
-    (1 (x) (Psi* Psi*)^-1)|psi+>  and  ((Psi^dag)^-1 (x) (Psi*)^-1)|psi+>
-    are both evaluated and must agree as directions; a gap means the
-    conjugation conventions drifted somewhere upstream.  The raw
-    entries scale with the inverse squared singular values, so the
-    comparison is made on unit-normalized copies.
+    The vector is X / sqrt d read row-major, X = (Psi^dag)^-1 for kind
+    "m" and (Psi^dag Psi^dag)^-1 for kind "M".  The guarded inversion is
+    of the matrix actually inverted, so its gates apply to that matrix.
     """
     psi_mat = _checked_psi(psi_mat)
     d = psi_mat.shape[0]
-    psi = bell("psi_plus", d)
-    conj = psi_mat.conj()
+    adj = dagger(psi_mat)
     if kind == "m":
-        vec = np.kron(np.eye(d, dtype=complex), inverse(conj)) @ psi
+        x = inverse(adj)
     elif kind == "M":
-        vec = np.kron(np.eye(d, dtype=complex), inverse(conj @ conj)) @ psi
-        alt = np.kron(inverse(dagger(psi_mat)), inverse(conj)) @ psi
-        gap = float(
-            np.max(np.abs(vec / np.linalg.norm(vec) - alt / np.linalg.norm(alt)))
-        )
-        if gap > CROSS_CHECK_TOL:
-            raise ValueError(f"measurement constructions disagree by {gap:.3e}")
+        x = inverse(adj @ adj)
     else:
         raise ValueError(f"measurement kind must be 'm' or 'M', got {kind!r}")
+    vec = x.reshape(-1) / np.sqrt(d)
     return vec, float(np.linalg.norm(vec))
 
 
@@ -92,6 +80,12 @@ def _outer_amplitudes(phi_mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Flat (A, B') amplitudes of <vec|_{B,A'} |phi>|phi>, phi_mat[a, b] = <ab|phi>."""
     d = phi_mat.shape[0]
     return (phi_mat @ vec.reshape(d, d).conj() @ phi_mat).reshape(-1)
+
+
+def _raw_weight(psi_mat: np.ndarray, vec: np.ndarray) -> float:
+    """Weight of the raw (1 (x) Psi)|psi+> = Psi^T / sqrt d on the raw vector."""
+    raw = _outer_amplitudes(psi_mat.T / np.sqrt(psi_mat.shape[0]), vec)
+    return float(np.vdot(raw, raw).real)
 
 
 def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
@@ -110,11 +104,7 @@ def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
 
     target = phi if kind == "m" else bell("psi_plus", d)
     fidelity = float((target.conj() @ output @ target).real)
-
-    # unnormalized bookkeeping on the raw vector (1 (x) Psi)|psi+>, which
-    # reshapes to Psi^T / sqrt d, against the raw measurement vector
-    raw = _outer_amplitudes(psi_mat.T / np.sqrt(d), vec)
-    raw_weight = float(np.vdot(raw, raw).real)
+    raw_weight = _raw_weight(psi_mat, vec)
 
     return ConcentrationResult(
         output_state=output,
@@ -134,11 +124,14 @@ def probability_consistency(psi_mat: np.ndarray, kind: str) -> tuple[float, floa
     equals d^-2 times the unnormalized target projector, so its trace
     (the raw measurement weight) must equal d^-2 times the target's
     trace: d^-3 for kind "m", d^-2 for kind "M".  Returns
-    (lhs, rhs, |lhs - rhs|) with lhs the weight `concentrate` reports.
+    (lhs, rhs, |lhs - rhs|) with lhs the raw weight `concentrate`
+    reports, from the same helper; the protocol is not run, so its
+    degenerate-vector and zero-probability errors are not raised.
     """
     psi_mat = _checked_psi(psi_mat)
     d = psi_mat.shape[0]
-    lhs = concentrate(psi_mat, kind).raw_weight
+    vec, _ = measurement_vector(psi_mat, kind)
+    lhs = _raw_weight(psi_mat, vec)
     # target trace: |(1 (x) Psi)|psi+>|^2 = Tr(Psi^dag Psi)/d for "m", 1 for "M"
     overlap = float(np.vdot(psi_mat, psi_mat).real) / d if kind == "m" else 1.0
     rhs = overlap / d**2
@@ -150,7 +143,7 @@ def random_schmidt_operator(d: int, rng: np.random.Generator | int) -> np.ndarra
 
     Complex Gaussian entries, rescaled; draws with condition number
     above 1e2 are rejected so the squared conditioning of the kind-M
-    inverse keeps its roundoff two orders below CROSS_CHECK_TOL.
+    inverse keeps its roundoff far below the 1e-9 gates.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)

@@ -74,13 +74,6 @@ class Assignment:
                 )
         return mat
 
-    def label(self) -> str:
-        if isinstance(self.witness, str):
-            if self.param is not None:
-                return f"{self.witness}({self.param:g})"
-            return self.witness
-        return f"<matrix {self.witness.shape[0]}x{self.witness.shape[0]}>"
-
 
 @dataclass(frozen=True)
 class WiringSpec:

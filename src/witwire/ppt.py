@@ -45,7 +45,14 @@ def ppt_threshold(
     transposed_slots,
     tol: float = 1e-9,
 ) -> ThresholdResult:
-    """Parameter where the family's minimum partial-transpose eigenvalue crosses zero."""
+    """Parameter where the family's minimum partial-transpose eigenvalue crosses zero.
+
+    The slots must be a nonempty proper subset of the parties: the
+    transpose of none or all of them has the spectrum of rho.
+    """
+    slots = {int(s) for s in transposed_slots}
+    if not slots or slots.issuperset(range(len(family.dims))):
+        raise ValueError(f"transposed slots {sorted(slots)} are not a nonempty proper subset")
     lo, hi = family.param_range
     f = lambda p: min_pt_eigenvalue(family(p), list(family.dims), list(transposed_slots))
     return find_threshold(f, lo, hi, tol)

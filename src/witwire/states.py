@@ -12,8 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import dagger, inverse
-from .multipartite import check_density_matrix
+from .linalg import inverse
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -98,35 +97,33 @@ def noisy_w(c: float) -> np.ndarray:
     return (1.0 - c) * projector(w_state()) + c * np.eye(8, dtype=complex) / 8.0
 
 
+def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
+    """Psi as a finite square complex array with Tr(Psi^dag Psi) = 1 within 1e-10.
+
+    Finiteness comes first, so NaN or inf never reaches a product.
+    """
+    psi_mat = np.asarray(psi_mat, dtype=complex)
+    if not np.isfinite(psi_mat).all():
+        raise ValueError("Psi has non-finite entries")
+    if psi_mat.ndim != 2 or psi_mat.shape[0] != psi_mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {psi_mat.shape}")
+    norm2 = float(np.vdot(psi_mat, psi_mat).real)
+    if not abs(norm2 - 1.0) <= 1e-10:
+        raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within 1e-10")
+    return psi_mat
+
+
 def schmidt_state(psi_mat: np.ndarray) -> np.ndarray:
     """Bipartite pure state (1 (x) Psi)|psi_plus>, normalized.
 
-    Psi must be d x d, full rank, with Tr(Psi^dag Psi) = 1; under that
-    normalization the raw vector has norm 1/sqrt d, so the returned
-    state carries amplitudes <ij|phi> = Psi[j, i] exactly.  The
-    equivalent construction (Psi^T (x) 1)|psi_plus> is evaluated too and
-    the two must agree entrywise, which catches transpose-convention
-    slips at the source.
+    Psi must be d x d, finite, full rank, with Tr(Psi^dag Psi) = 1.  In
+    the slot convention (A (x) B)|psi_plus> reshapes to A B^T / sqrt d,
+    so the state is Psi^T read row-major: <ij|phi> = Psi[j, i].
     """
-    psi_mat = np.asarray(psi_mat, dtype=complex)
-    if psi_mat.ndim != 2 or psi_mat.shape[0] != psi_mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {psi_mat.shape}")
-    d = psi_mat.shape[0]
-    norm2 = float(np.trace(dagger(psi_mat) @ psi_mat).real)
-    if abs(norm2 - 1.0) > 1e-10:
-        raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within 1e-10")
+    psi_mat = check_schmidt_operator(psi_mat)
     inverse(psi_mat)  # full-rank / conditioning gate; result unused
-    psi = bell("psi_plus", d)
-    left = np.kron(np.eye(d, dtype=complex), psi_mat) @ psi
-    right = np.kron(psi_mat.T, np.eye(d, dtype=complex)) @ psi
-    gap = float(np.max(np.abs(left - right)))
-    if gap > 1e-12:
-        raise ValueError(f"construction formulas disagree by {gap:.3e}")
-    out = left * np.sqrt(d)
-    nrm = float(np.linalg.norm(out))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"normalized state has norm {nrm!r}")
-    return out / nrm
+    out = psi_mat.T.reshape(-1)
+    return out / np.linalg.norm(out)
 
 
 @dataclass(frozen=True)
@@ -148,11 +145,6 @@ class StateFamily:
 
     def __call__(self, value: float) -> np.ndarray:
         return self.generator(value)
-
-    def validated(self, value: float) -> np.ndarray:
-        rho = self.generator(value)
-        check_density_matrix(rho, list(self.dims))
-        return rho
 
 
 FAMILIES: dict[str, StateFamily] = {

@@ -1,22 +1,19 @@
 """Slow reference implementations used to cross-check the fast paths.
 
-Everything here walks explicit multi-indices one matrix entry at a
-time, so none of it shares code (reshape/einsum/kron) with the library
-under test.  Keep the systems tiny; these are quadratic in the full
-dimension with Python-level loops.
+The multipartite and wiring oracles walk explicit multi-indices one
+matrix entry at a time, so none of them shares code
+(reshape/einsum/kron) with the library under test.  Keep the systems tiny; these are
+quadratic in the full dimension with Python-level loops.
+
+The concentration oracles build every vector as a textbook Kronecker
+product, (A (x) B)|psi+> with ``np.kron``, where the library reads the
+same vector off a reshaped d x d matrix.
 
 Slot convention matches the library: slot 0 is the most significant
 digit of the flat index.
-
-``concentration_oracle`` is the one exception: it takes |phi> and the
-measurement vector from the library, then runs the protocol densely
-with ``np.kron`` and the index-loop oracles above.
 """
 
 import numpy as np
-
-from witwire.concentration import measurement_vector
-from witwire.states import schmidt_state
 
 
 def unravel(flat, dims):
@@ -153,21 +150,55 @@ def expectation_oracle(local_mats, slots, base_dims, copies, rho):
     return acc
 
 
+def kron_on_psi_plus(left, right):
+    """(left (x) right)|psi+> as a Kronecker product applied to |psi+>."""
+    d = left.shape[0]
+    return np.kron(left, right) @ (np.eye(d).reshape(-1) / np.sqrt(d))
+
+
+def schmidt_state_oracles(psi_mat):
+    """The raw |phi> both ways: (1 (x) Psi)|psi+> and (Psi^T (x) 1)|psi+>."""
+    eye = np.eye(psi_mat.shape[0])
+    return kron_on_psi_plus(eye, psi_mat), kron_on_psi_plus(psi_mat.T, eye)
+
+
+def measurement_vector_oracles(psi_mat, kind):
+    """The raw measurement vector both ways.
+
+    Kind "m": (1 (x) (Psi*)^-1)|psi+> and ((Psi^dag)^-1 (x) 1)|psi+>.
+    Kind "M": (1 (x) (Psi* Psi*)^-1)|psi+> and
+    ((Psi^dag)^-1 (x) (Psi*)^-1)|psi+>.
+    """
+    eye = np.eye(psi_mat.shape[0])
+    conj = psi_mat.conj()
+    inv_conj = np.linalg.inv(conj)
+    inv_adj = np.linalg.inv(psi_mat.conj().T)
+    if kind == "m":
+        return kron_on_psi_plus(eye, inv_conj), kron_on_psi_plus(inv_adj, eye)
+    return (
+        kron_on_psi_plus(eye, np.linalg.inv(conj @ conj)),
+        kron_on_psi_plus(inv_adj, inv_conj),
+    )
+
+
 def concentration_oracle(psi_mat, kind):
     """The two-copy protocol as dense matrices on slots A, B, A', B'.
 
-    rho^(x)2 is the Kronecker square of |phi><phi|, the measurement
-    projector is placed on (B, A') by ``embed_oracle``, and the (A, B')
-    state is read off by ``partial_trace_oracle``.  Returns
+    |phi> and the measurement vector come from the ``np.kron``
+    constructions above, rho^(x)2 is the Kronecker square of
+    |phi><phi|, the measurement projector is placed on (B, A') by
+    ``embed_oracle``, and the (A, B') state is read off by
+    ``partial_trace_oracle``.  Returns
     (output_state, probability, fidelity_with_target, raw_weight).
     About 0.3 s at d=4, where the two-copy matrices are 256 x 256.
     """
     d = psi_mat.shape[0]
     full = [d] * 4
     psi_plus = np.eye(d).reshape(-1) / np.sqrt(d)
-    phi = schmidt_state(psi_mat)
-    phi_raw = np.kron(np.eye(d), psi_mat) @ psi_plus
-    vec, norm = measurement_vector(psi_mat, kind)
+    phi_raw, _ = schmidt_state_oracles(psi_mat)
+    phi = phi_raw / np.linalg.norm(phi_raw)
+    vec, _ = measurement_vector_oracles(psi_mat, kind)
+    norm = np.linalg.norm(vec)
     # the raw projector |vec><vec| on (B, A'); the normalized one is it / norm^2
     meas = embed_oracle(np.outer(vec, vec.conj()), [d, d], [1, 2], full)
     rho2 = np.kron(np.outer(phi, phi.conj()), np.outer(phi, phi.conj()))

@@ -133,6 +133,14 @@ def test_ppt_subcommand(capsys):
     assert "threshold 0.666666666" in out
 
 
+def test_ppt_full_transpose_exits_2(capsys):
+    code = cli.main(["ppt", "werner_w", "--slots", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "proper subset" in captured.err
+    assert "threshold" not in captured.out
+
+
 def test_ppt_unknown_family(capsys):
     code = cli.main(["ppt", "nope"])
     err = capsys.readouterr().err

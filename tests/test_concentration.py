@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import concentration_oracle
+from oracles import concentration_oracle, measurement_vector_oracles
 from witwire import concentration as conc
 from witwire.multipartite import check_density_matrix
-from witwire.states import bell, projector
+from witwire.states import bell, projector, schmidt_state
 
 
 def test_measurement_vector_identity_schmidt():
@@ -25,16 +25,19 @@ def test_measurement_vector_diagonal_case():
     assert np.max(np.abs(vec - expected)) < 1e-12
 
 
-def test_measurement_vector_dual_construction_agrees():
+def test_measurement_vector_matches_both_kron_constructions():
     rng = np.random.default_rng(101)
     for d in [2, 3, 4]:
-        for _ in range(20):
-            psi_mat = conc.random_schmidt_operator(d, rng)
-            # kind M runs the internal cross-check; reaching the return
-            # statement is the assertion
-            vec, norm = conc.measurement_vector(psi_mat, "M")
-            assert norm > 0.0
-            assert vec.shape == (d * d,)
+        for kind in ("m", "M"):
+            for _ in range(20):
+                psi_mat = conc.random_schmidt_operator(d, rng)
+                vec, norm = conc.measurement_vector(psi_mat, kind)
+                # raw entries scale with the inverse (squared) singular
+                # values, so the gap is taken relative to the norm
+                for ref in measurement_vector_oracles(psi_mat, kind):
+                    scale = np.linalg.norm(ref)
+                    assert np.max(np.abs(vec - ref)) <= 1e-10 * scale
+                    assert abs(norm - scale) <= 1e-10 * scale
 
 
 def test_measurement_vector_rejects_bad_kind():
@@ -165,3 +168,31 @@ def test_concentrate_rejects_output_above_max_dim():
     for call in (conc.concentrate, conc.probability_consistency, conc.measurement_vector):
         with pytest.raises(ValueError, match="MAX_DIM"):
             call(psi_mat, "m")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_psi_raises_by_name(bad):
+    psi_mat = np.eye(2, dtype=complex) / np.sqrt(2.0)
+    psi_mat[0, 1] = bad
+    for call in (conc.concentrate, conc.probability_consistency, conc.measurement_vector):
+        for kind in ("m", "M"):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(psi_mat, kind)
+    with pytest.raises(ValueError, match="non-finite"):
+        schmidt_state(psi_mat)
+
+
+def test_concentration_path_never_calls_kron(monkeypatch):
+    rng = np.random.default_rng(137)
+    cases = [(d, conc.random_schmidt_operator(d, rng)) for d in (2, 3, 4)]
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron on the concentration path")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    for d, psi_mat in cases:
+        assert schmidt_state(psi_mat).shape == (d * d,)
+        for kind in ("m", "M"):
+            conc.concentrate(psi_mat, kind)
+            conc.probability_consistency(psi_mat, kind)
+            conc.measurement_vector(psi_mat, kind)

@@ -43,6 +43,13 @@ def test_noisy_w_threshold_is_located():
     assert res.hi - res.lo <= 1e-9
 
 
+def test_threshold_needs_a_nonempty_proper_slot_subset():
+    # transposing no party or every party leaves the spectrum of rho
+    for name, slots in (("werner_w", [0, 1]), ("werner_a", []), ("noisy_w", [2, 0, 1])):
+        with pytest.raises(ValueError, match="proper subset"):
+            ppt.ppt_threshold(FAMILIES[name], slots)
+
+
 def test_ppt_check_validates_the_state():
     not_a_state = np.eye(4, dtype=complex)  # trace 4
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import schmidt_state_oracles
 from witwire import states
 from witwire.multipartite import check_density_matrix, partial_trace
 
@@ -107,6 +108,18 @@ def test_schmidt_state_random_is_normalized():
             # the B-side marginal carries Psi Psi^dag transposed weights
             rho_b = partial_trace(states.projector(phi), [d, d], [0])
             assert abs(np.trace(rho_b).real - 1.0) < 1e-10
+
+
+def test_schmidt_state_matches_both_kron_constructions():
+    rng = np.random.default_rng(17)
+    for d in [2, 3, 4]:
+        for _ in range(10):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            a /= np.linalg.norm(a)
+            phi = states.schmidt_state(a)
+            for raw in schmidt_state_oracles(a):
+                # Tr(Psi^dag Psi) = 1 gives the raw vectors norm 1/sqrt d
+                assert np.max(np.abs(phi - raw * np.sqrt(d))) < 1e-12
 
 
 def test_schmidt_state_rejects_bad_input():
