@@ -25,7 +25,7 @@ def test_measurement_vector_diagonal_case():
     assert np.max(np.abs(vec - expected)) < 1e-12
 
 
-def test_measurement_vector_matches_both_kron_constructions():
+def test_measurement_vector_dual_construction_agrees():
     rng = np.random.default_rng(101)
     for d in [2, 3, 4]:
         for kind in ("m", "M"):
