@@ -6,9 +6,9 @@ evaluator that contracts the operator of its placed slots with rho
 reduced onto each copy, one copy at a time, without forming rho^(x)k.
 Along the noise parameter of an affine family that trace is a
 polynomial of degree k, so a sweep evaluates it at k+1 points and
-locates its sign changes by bisection on the interpolant.
-PPT gives the independent entanglement verdict, and a two-copy
-measurement protocol concentrates partially entangled pure states.
+takes its sign changes from the roots of that polynomial.  PPT gives
+the independent entanglement verdict, and a two-copy measurement
+protocol concentrates partially entangled pure states.
 """
 
 from .detection import (
@@ -18,7 +18,6 @@ from .detection import (
     closed_form,
     compile_wiring,
     expectation,
-    find_threshold,
     ordering_matrix,
     sweep,
     wiring,
@@ -45,7 +44,6 @@ __all__ = [
     "compile_wiring",
     "concentrate",
     "expectation",
-    "find_threshold",
     "measurement_vector",
     "ordering_matrix",
     "ppt_check",

@@ -2,7 +2,7 @@
 
 Five subcommands: `reproduce` grades a worked example against its
 check table, `sweep` evaluates a scenario file and writes CSV/JSON
-tables, `ppt` bisects a family's partial-transpose threshold,
+tables, `ppt` solves for a family's partial-transpose threshold,
 `validate` samples product states against a catalog operator, and
 `concentrate` runs the two-copy measurement protocol on random pure
 states.  All numeric output goes through one 15-significant-digit

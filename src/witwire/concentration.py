@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import MAX_DIM, dagger, inverse
-from .states import bell, check_schmidt_operator, projector, schmidt_state
+from .states import bell, check_schmidt_operator, projector
 
 CONDITION_CAP = 1e2
 
@@ -47,13 +47,21 @@ class ConcentrationResult:
     bookkeeping_ratio: float
 
 
-def _checked_psi(psi_mat: np.ndarray) -> np.ndarray:
+def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Psi validated, once, with ``measurement_vector``'s vector and norm."""
     psi_mat = check_schmidt_operator(psi_mat)
-    if psi_mat.shape[0] ** 2 > MAX_DIM:
-        raise ValueError(
-            f"output state dimension {psi_mat.shape[0]}^2 exceeds MAX_DIM={MAX_DIM}"
-        )
-    return psi_mat
+    d = psi_mat.shape[0]
+    if d**2 > MAX_DIM:
+        raise ValueError(f"output state dimension {d}^2 exceeds MAX_DIM={MAX_DIM}")
+    adj = dagger(psi_mat)
+    if kind == "m":
+        x = inverse(adj)
+    elif kind == "M":
+        x = inverse(adj @ adj)
+    else:
+        raise ValueError(f"measurement kind must be 'm' or 'M', got {kind!r}")
+    vec = x.reshape(-1) / np.sqrt(d)
+    return psi_mat, vec, float(np.linalg.norm(vec))
 
 
 def measurement_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
@@ -63,17 +71,7 @@ def measurement_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, floa
     "m" and (Psi^dag Psi^dag)^-1 for kind "M".  The guarded inversion is
     of the matrix actually inverted, so its gates apply to that matrix.
     """
-    psi_mat = _checked_psi(psi_mat)
-    d = psi_mat.shape[0]
-    adj = dagger(psi_mat)
-    if kind == "m":
-        x = inverse(adj)
-    elif kind == "M":
-        x = inverse(adj @ adj)
-    else:
-        raise ValueError(f"measurement kind must be 'm' or 'M', got {kind!r}")
-    vec = x.reshape(-1) / np.sqrt(d)
-    return vec, float(np.linalg.norm(vec))
+    return _checked_vector(psi_mat, kind)[1:]
 
 
 def _outer_amplitudes(phi_mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -89,11 +87,17 @@ def _raw_weight(psi_mat: np.ndarray, vec: np.ndarray) -> float:
 
 
 def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
-    """Run the protocol on two copies of |phi> and report the A,B' state."""
-    psi_mat = _checked_psi(psi_mat)
+    """Run the protocol on two copies of |phi> and report the A,B' state.
+
+    Kind "m" inverts Psi^dag, which has Psi's singular values, so that
+    is |phi>'s full-rank gate too.
+    """
+    psi_mat, vec, norm = _checked_vector(psi_mat, kind)
     d = psi_mat.shape[0]
-    phi = schmidt_state(psi_mat)
-    vec, norm = measurement_vector(psi_mat, kind)
+    if kind == "M":
+        inverse(psi_mat)  # Psi^dag Psi^dag can be well conditioned when Psi is not
+    phi = psi_mat.T.reshape(-1)
+    phi = phi / np.linalg.norm(phi)
     if norm < 1e-14:
         raise ValueError("degenerate measurement vector")
     out = _outer_amplitudes(phi.reshape(d, d), vec / norm)
@@ -128,9 +132,8 @@ def probability_consistency(psi_mat: np.ndarray, kind: str) -> tuple[float, floa
     reports, from the same helper; the protocol is not run, so its
     degenerate-vector and zero-probability errors are not raised.
     """
-    psi_mat = _checked_psi(psi_mat)
+    psi_mat, vec, _ = _checked_vector(psi_mat, kind)
     d = psi_mat.shape[0]
-    vec, _ = measurement_vector(psi_mat, kind)
     lhs = _raw_weight(psi_mat, vec)
     # target trace: |(1 (x) Psi)|psi+>|^2 = Tr(Psi^dag Psi)/d for "m", 1 for "M"
     overlap = float(np.vdot(psi_mat, psi_mat).real) / d if kind == "m" else 1.0

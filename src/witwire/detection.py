@@ -16,8 +16,8 @@ is formed per trace.  ``assemble`` still gives the dense D x D
 operator of a whole wiring, and MAX_DIM caps what it builds.  A sweep
 needs a family that is affine in its parameter, so that the trace is
 a polynomial of degree at most ``copies``: it evaluates the wiring at
-copies+1 Chebyshev nodes (and at both ends, as a check) and reads its
-grid and its bisections off the interpolant.
+copies+1 Chebyshev nodes (and at both ends, as a check), reads its grid
+off the interpolant, and its thresholds off the interpolant's roots.
 """
 
 from __future__ import annotations
@@ -301,53 +301,16 @@ def closed_form(name: str, param: float, b: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 # Threshold location and parameter sweeps.
 
+# Sweep-polynomial roots closer than this fraction of the range are one root of
+# their summed multiplicity; rounding splits an m-fold root by about eps**(1/m).
+ROOT_MERGE_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     root: float
     lo: float
     hi: float
-
-
-def find_threshold(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-) -> ThresholdResult:
-    """Bisect a sign change of ``f`` on [lo, hi] down to bracket width tol.
-
-    A non-finite value of ``f`` raises: NaN compares as neither sign,
-    so bisecting through it would report a root that is not there.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-
-    def value(p: float) -> float:
-        v = f(p)
-        if not math.isfinite(v):
-            raise ValueError(f"f({p!r}) = {v} is not finite")
-        return v
-
-    flo = value(lo)
-    fhi = value(hi)
-    if flo == 0.0:
-        return ThresholdResult(lo, lo, lo)
-    if fhi == 0.0:
-        return ThresholdResult(hi, hi, hi)
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise ValueError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = value(mid)
-        if fm == 0.0:
-            return ThresholdResult(mid, mid, mid)
-        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return ThresholdResult(0.5 * (lo + hi), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -362,12 +325,12 @@ class DetectionReport:
 
 def _chebyshev_interpolant(
     f: Callable[[float], float], lo: float, hi: float, degree: int
-) -> tuple[Callable, float]:
+) -> tuple[list[float], list[float], float]:
     """Newton form of the degree-``degree`` polynomial through f at Chebyshev nodes.
 
     The degree+1 nodes are the Chebyshev points of the first kind on
-    [lo, hi], so the endpoints are not among them.  Returns the
-    polynomial, which takes a float or an array, and max |f(node)|.
+    [lo, hi], so the endpoints are not among them.  Returns the nodes,
+    the divided-difference coefficients and max |f(node)|.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = [
@@ -383,33 +346,67 @@ def _chebyshev_interpolant(
     for j in range(1, degree + 1):
         for i in range(degree, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - j])
+    return nodes, coeffs, scale
 
-    def poly(p):
-        v = coeffs[degree]
-        for i in range(degree - 1, -1, -1):
-            v = coeffs[i] + (p - nodes[i]) * v
-        return v
 
-    return poly, scale
+def _newton_value(nodes: list[float], coeffs: list[float], p):
+    """The Newton-form polynomial and its derivative at p, a float or an array."""
+    v, dv = coeffs[-1], 0.0
+    for i in range(len(coeffs) - 2, -1, -1):
+        v, dv = coeffs[i] + (p - nodes[i]) * v, v + (p - nodes[i]) * dv
+    return v, dv
+
+
+def _sign_changes(
+    nodes: list[float], coeffs: list[float], lo: float, hi: float, floor: float
+) -> list[float]:
+    """Ascending real roots of odd multiplicity in [lo, hi] of the Newton-form polynomial.
+
+    Leading terms no larger than ``floor`` on the range are dropped as
+    rounding noise.  The roots are the eigenvalues of the companion
+    matrix of the rest: nodes on the diagonal, ones below it, -c_i/c_top
+    added to the last column.  A simple root gets one Newton step; a
+    merged one (see ROOT_MERGE_TOL) is the mean of its eigenvalues.
+    """
+    width, top = hi - lo, len(coeffs) - 1
+    while top > 0 and abs(coeffs[top]) * width**top <= floor:
+        top -= 1
+    if top == 0:
+        return []
+    companion = np.diag(nodes[:top]) + np.eye(top, k=-1)
+    companion[:, -1] -= np.asarray(coeffs[:top]) / coeffs[top]
+    merge = ROOT_MERGE_TOL * width
+    near = sorted(float(z.real) for z in np.linalg.eigvals(companion) if abs(z.imag) <= merge)
+    cuts = [i for i in range(1, len(near)) if near[i] - near[i - 1] > merge]
+    roots = []
+    for a, b in zip([0] + cuts, cuts + [len(near)]):
+        if (b - a) % 2 == 0:
+            continue
+        r = sum(near[a:b]) / (b - a)
+        if b - a == 1:
+            v, dv = _newton_value(nodes, coeffs, r)
+            r -= v / dv
+        if lo <= r <= hi:
+            roots.append(r)
+    return roots
 
 
 def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> DetectionReport:
-    """Evaluate the wiring on a uniform parameter grid and locate sign changes.
+    """Evaluate the wiring on a uniform parameter grid and locate its sign changes.
 
     The family must be affine in its parameter, as every shipped family
     is: then Tr(Wiring rho(p)^(x)k) is a polynomial of degree at most
     k = ``spec.copies`` in p.  The wiring is compiled once and evaluated
     at k+1 Chebyshev nodes of the range, plus once at each end as a
-    check; the grid values and every bisection are read off the
-    interpolating polynomial.  A non-finite wiring value raises, and so
-    does an end value the polynomial misses by more than
-    1e-12 * (1 + max|node value|), which is how a family that is not
-    affine shows.  A zero-width range takes one direct evaluation; a
-    range too narrow for k+1 distinct nodes raises.
-
-    Every consecutive grid pair with opposite signs feeds the bisection,
-    so a sweep resolves each crossing to 1e-9 regardless of grid
-    resolution (as long as the grid brackets it at all).
+    check; the grid values are read off the interpolating polynomial.
+    A non-finite wiring value raises, and so does an end value the
+    polynomial misses by more than floor = 1e-12 * (1 + max|node value|),
+    which is how a family that is not affine shows.  A zero-width range
+    takes one direct evaluation; a range too narrow for k+1 distinct
+    nodes raises.  The thresholds (lo == hi == root) are the
+    polynomial's real roots of odd multiplicity in the range, from
+    ``_sign_changes`` with that floor: a tangent zero is not a sign
+    change, and ``grid_points`` does not change them.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -428,35 +425,26 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
         return v
 
     if lo == hi:
-        f = direct
         values = [direct(lo)] * grid_points
+        roots = []
     else:
-        f, scale = _chebyshev_interpolant(direct, lo, hi, spec.copies)
+        nodes, coeffs, scale = _chebyshev_interpolant(direct, lo, hi, spec.copies)
+        floor = 1e-12 * (1.0 + scale)
         for end in (lo, hi):
-            miss = abs(f(end) - direct(end))
-            if miss > 1e-12 * (1.0 + scale):
+            miss = abs(_newton_value(nodes, coeffs, end)[0] - direct(end))
+            if miss > floor:
                 raise ValueError(
-                    f"family {family.name} is not affine in {family.param_name}: the "
-                    f"degree-{spec.copies} interpolant misses the wiring value at "
-                    f"{family.param_name}={end!r} by {miss:.3e}"
+                    f"family {family.name} is not affine in {family.param_name}: the degree-"
+                    f"{spec.copies} interpolant misses the value at {end!r} by {miss:.3e}"
                 )
-        values = f(params).tolist()
-    thresholds = []
-    for i in range(len(params) - 1):
-        vl, vr = values[i], values[i + 1]
-        if vl == 0.0:
-            # the grid landed exactly on a root; no bisection needed
-            thresholds.append(ThresholdResult(float(params[i]), float(params[i]), float(params[i])))
-        elif vl * vr < 0.0:
-            thresholds.append(find_threshold(f, float(params[i]), float(params[i + 1])))
-    if values[-1] == 0.0:
-        thresholds.append(ThresholdResult(float(params[-1]), float(params[-1]), float(params[-1])))
+        values = _newton_value(nodes, coeffs, params)[0].tolist()
+        roots = _sign_changes(nodes, coeffs, lo, hi, floor)
     return DetectionReport(
         family=family.name,
         param_name=family.param_name,
         params=tuple(float(p) for p in params),
         values=tuple(float(v) for v in values),
-        thresholds=tuple(thresholds),
+        thresholds=tuple(ThresholdResult(r, r, r) for r in roots),
         wiring=spec,
     )
 

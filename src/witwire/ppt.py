@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detection import ThresholdResult, find_threshold
-from .linalg import hermitian_eig
+import numpy as np
+
+from .detection import ThresholdResult
+from .linalg import dagger, hermitian_eig, min_eigenvalue
 from .multipartite import check_density_matrix, partial_transpose
 from .states import StateFamily
 
@@ -27,9 +29,7 @@ class PptVerdict:
 
 
 def min_pt_eigenvalue(rho, dims, transposed_slots) -> float:
-    pt = partial_transpose(rho, list(dims), list(transposed_slots))
-    vals, _ = hermitian_eig(pt)
-    return float(vals[0])
+    return min_eigenvalue(partial_transpose(rho, list(dims), list(transposed_slots)))
 
 
 def ppt_check(rho, dims, transposed_slots) -> PptVerdict:
@@ -40,19 +40,33 @@ def ppt_check(rho, dims, transposed_slots) -> PptVerdict:
     return PptVerdict(low, tuple(int(s) for s in transposed_slots), verdict)
 
 
-def ppt_threshold(
-    family: StateFamily,
-    transposed_slots,
-    tol: float = 1e-9,
-) -> ThresholdResult:
+def ppt_threshold(family: StateFamily, transposed_slots) -> ThresholdResult:
     """Parameter where the family's minimum partial-transpose eigenvalue crosses zero.
 
     The slots must be a nonempty proper subset of the parties: the
-    transpose of none or all of them has the spectrum of rho.
+    transpose of none or all of them has the spectrum of rho.  For an affine
+    family, P0 + s (P1 - P0) from an end P0 = U diag(l) U^dag with l > -NEG_TOL
+    is congruent to I + s L^dag (P1 - P0) L, L = U diag(l)^(-1/2); it crosses
+    zero at s = -1/nu_min if nu_min <= -1, and otherwise this raises.
     """
     slots = {int(s) for s in transposed_slots}
     if not slots or slots.issuperset(range(len(family.dims))):
         raise ValueError(f"transposed slots {sorted(slots)} are not a nonempty proper subset")
-    lo, hi = family.param_range
-    f = lambda p: min_pt_eigenvalue(family(p), list(family.dims), list(transposed_slots))
-    return find_threshold(f, lo, hi, tol)
+    ends = family.param_range
+    rhos = [family(p) for p in ends]
+    miss = np.max(np.abs(family(0.5 * sum(ends)) - 0.5 * (rhos[0] + rhos[1])))
+    if not miss <= 1e-12 * max(np.max(np.abs(rho)) for rho in rhos):
+        raise ValueError(f"family {family.name} is not affine: its midpoint misses by {miss:.3e}")
+    pts = [partial_transpose(rho, list(family.dims), sorted(slots)) for rho in rhos]
+    for start in (0, 1):
+        vals, vecs = hermitian_eig(pts[start])
+        if vals[0] > -NEG_TOL:
+            break
+    else:
+        raise ValueError(f"family {family.name} has no positive definite end in {ends}")
+    whiten = vecs / np.sqrt(vals)
+    nu_min = hermitian_eig(dagger(whiten) @ (pts[1 - start] - pts[start]) @ whiten)[0][0]
+    if nu_min > -1.0:
+        raise ValueError(f"no sign change on {ends}: positive definite from {ends[start]!r}")
+    root = ends[start] + (ends[1 - start] - ends[start]) / -float(nu_min)
+    return ThresholdResult(root, root, root)

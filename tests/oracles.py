@@ -9,9 +9,15 @@ The concentration oracles build every vector as a textbook Kronecker
 product, (A (x) B)|psi+> with ``np.kron``, where the library reads the
 same vector off a reshaped d x d matrix.
 
+The sign-change oracle scans a dense grid of direct evaluations and
+bisects each bracketed sign change, where the library takes the roots
+of an interpolating polynomial from a companion matrix.
+
 Slot convention matches the library: slot 0 is the most significant
 digit of the flat index.
 """
+
+import math
 
 import numpy as np
 
@@ -210,3 +216,56 @@ def concentration_oracle(psi_mat, kind):
     rho2_raw = np.kron(np.outer(phi_raw, phi_raw.conj()), np.outer(phi_raw, phi_raw.conj()))
     raw_weight = np.trace(meas @ rho2_raw).real
     return output, probability, fidelity, raw_weight
+
+
+def bisect_sign_change(f, lo, hi, tol=1e-12):
+    """Bisect a sign change of ``f`` on [lo, hi] down to bracket width ``tol``.
+
+    A non-finite value raises: NaN compares as neither sign, so
+    bisecting through it would report a root that is not there.
+    """
+
+    def value(p):
+        v = f(p)
+        if not math.isfinite(v):
+            raise ValueError(f"f({p!r}) = {v} is not finite")
+        return v
+
+    flo, fhi = value(lo), value(hi)
+    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = value(mid)
+        if fm == 0.0:
+            return mid
+        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def sign_change_oracle(f, lo, hi, points=2001):
+    """Every sign change of ``f`` that a uniform grid on [lo, hi] brackets, bisected.
+
+    Grid values within 1e-12 * (1 + max|value|) of zero count as zero
+    and have no sign, so a tangent zero whose grid value is rounding
+    noise is not a sign change; a bracket runs between the nonzero
+    grid values on either side of it.  Returns (roots, zero_ends): the
+    bisected roots, ascending, and the ends of the range whose value
+    counts as zero, where the grid cannot tell whether f changes sign.
+    """
+    grid = np.linspace(lo, hi, points)
+    values = [f(float(p)) for p in grid]
+    floor = 1e-12 * (1.0 + max(abs(v) for v in values))
+    roots = []
+    last = None
+    for p, v in zip(grid, values):
+        if abs(v) <= floor:
+            continue
+        if last is not None and (last[1] < 0.0) != (v < 0.0):
+            roots.append(bisect_sign_change(f, last[0], float(p)))
+        last = (float(p), v)
+    zero_ends = [end for end, v in ((lo, values[0]), (hi, values[-1])) if abs(v) <= floor]
+    return roots, zero_ends

@@ -126,8 +126,8 @@ def test_03_example_three_cyclic_wiring():
         failures.append(f"{len(report.thresholds)} sign changes, expected 1")
     else:
         root = report.thresholds[0].root
-        if abs(root - (1.0 - 2.0 ** (-1.0 / 3.0))) > 1e-6:
-            failures.append(f"root {root!r} not within 1 - 2^(-1/3) +- 1e-6")
+        if abs(root - (1.0 - 2.0 ** (-1.0 / 3.0))) > 1e-12:
+            failures.append(f"root {root!r} not within 1 - 2^(-1/3) +- 1e-12")
 
     single_min = min(
         float(np.trace(catalog(name).matrix @ family(float(w))).real)
@@ -149,8 +149,8 @@ def test_03_example_three_cyclic_wiring():
         failures.append(f"two-copy cross-pair minimum {pair_min!r} below -1e-9")
 
     root_ppt = ppt.ppt_threshold(family, [1]).root
-    if abs(root_ppt - 2.0 / 3.0) > 1e-6:
-        failures.append(f"PPT threshold {root_ppt!r} not 2/3 +- 1e-6")
+    if abs(root_ppt - 2.0 / 3.0) > 1e-12:
+        failures.append(f"PPT threshold {root_ppt!r} not 2/3 +- 1e-12")
     _report(3, "example-3 three-copy cyclic", failures)
 
 
@@ -173,8 +173,8 @@ def test_04_example_four_psd_pair():
 
     report = detection.sweep(wiring_p, family, grid_points=201)
     root = report.thresholds[0].root if report.thresholds else float("nan")
-    if abs(root - math.sqrt(3.0 / 5.0)) > 1e-6:
-        failures.append(f"root {root!r} not sqrt(3/5) +- 1e-6")
+    if abs(root - math.sqrt(3.0 / 5.0)) > 1e-12:
+        failures.append(f"root {root!r} not sqrt(3/5) +- 1e-12")
 
     for b in (1.0, 2.0, 10.0, 100.0):
         wiring_b = detection.wiring(
@@ -183,7 +183,7 @@ def test_04_example_four_psd_pair():
         rep_b = detection.sweep(wiring_b, family, grid_points=201)
         want = math.sqrt((2.0 * b + 1.0) / (6.0 * b - 1.0))
         got = rep_b.thresholds[0].root if rep_b.thresholds else float("nan")
-        if abs(got - want) > 1e-6:
+        if abs(got - want) > 1e-12:
             failures.append(f"b={b:g} root {got!r}, expected {want!r}")
 
     w3 = catalog("W3").matrix
@@ -292,8 +292,8 @@ def test_06_example_five_three_party_cross():
     ww1_scen = load_scenario("ex5_ww1")
     rep_ww1 = detection.sweep(ww1_scen.wiring, family, grid_points=201)
     got = rep_ww1.thresholds[0].root if rep_ww1.thresholds else float("nan")
-    if abs(got - 8.0 / 21.0) > 1e-6:
-        failures.append(f"projector-witness root {got!r} not 8/21 +- 1e-6")
+    if abs(got - 8.0 / 21.0) > 1e-12:
+        failures.append(f"projector-witness root {got!r} not 8/21 +- 1e-12")
     if not got < 0.39:  # consistent with detection below c ~ 0.38
         failures.append(f"projector-witness root {got!r} not below 0.39")
     _report(6, "example-5 three-party wirings", failures)

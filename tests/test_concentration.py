@@ -4,6 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import concentration_oracle, measurement_vector_oracles
 from witwire import concentration as conc
+from witwire import states
+from witwire.linalg import dagger
 from witwire.multipartite import check_density_matrix
 from witwire.states import bell, projector, schmidt_state
 
@@ -196,3 +198,53 @@ def test_concentration_path_never_calls_kron(monkeypatch):
             conc.concentrate(psi_mat, kind)
             conc.probability_consistency(psi_mat, kind)
             conc.measurement_vector(psi_mat, kind)
+
+
+def test_each_call_validates_psi_once(monkeypatch):
+    counts = {"check": 0, "inverse": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (conc, states):
+        monkeypatch.setattr(module, "check_schmidt_operator", counting("check", module.check_schmidt_operator))
+        monkeypatch.setattr(module, "inverse", counting("inverse", module.inverse))
+    psi_mat = conc.random_schmidt_operator(3, 151)
+    # kind "M" inverts Psi^dag Psi^dag, and concentrate inverts Psi as |phi>'s gate
+    expected = [
+        (conc.concentrate, "m", 1),
+        (conc.concentrate, "M", 2),
+        (conc.probability_consistency, "m", 1),
+        (conc.probability_consistency, "M", 1),
+        (conc.measurement_vector, "m", 1),
+        (conc.measurement_vector, "M", 1),
+    ]
+    for call, kind, inverses in expected:
+        counts.update(check=0, inverse=0)
+        call(psi_mat, kind)
+        assert counts == {"check": 1, "inverse": inverses}, (call.__name__, kind)
+    counts.update(check=0, inverse=0)
+    schmidt_state(psi_mat)
+    assert counts == {"check": 1, "inverse": 1}
+
+
+def test_ill_conditioned_psi_is_refused_by_every_call():
+    # cond(Psi) = 1e13 is past the 1e12 limit of the guarded inverse
+    near_singular = np.diag([1.0, 1e-13]).astype(complex)
+    near_singular /= np.linalg.norm(near_singular)
+    for call in (conc.concentrate, conc.probability_consistency, conc.measurement_vector):
+        for kind in ("m", "M"):
+            with pytest.raises(ValueError, match="ill-conditioned"):
+                call(near_singular, kind)
+    # Psi^dag Psi^dag = s I is perfectly conditioned while Psi is not:
+    # concentrate still refuses Psi for |phi>, as the kind "m" path does
+    swap = np.array([[0.0, 1.0], [1e-13, 0.0]], dtype=complex)
+    swap /= np.linalg.norm(swap)
+    assert np.linalg.cond(dagger(swap) @ dagger(swap)) < 2.0
+    for kind in ("m", "M"):
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            conc.concentrate(swap, kind)

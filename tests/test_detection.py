@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import expectation_oracle
+from oracles import expectation_oracle, sign_change_oracle
 from witwire import detection, multipartite
 from witwire.reproduce import load_scenario
 from witwire.states import FAMILIES, FIXED_STATES, StateFamily, bell, projector, werner_a
@@ -106,14 +110,6 @@ def test_closed_form_argument_handling():
         detection.closed_form("three_copy_cyclic", 0.5, b=2.0)  # b rejected
 
 
-def test_find_threshold_simple_quadratic():
-    res = detection.find_threshold(lambda x: x * x - 0.16, 0.0, 1.0, tol=1e-12)
-    assert abs(res.root - 0.4) < 1e-10
-    assert res.lo <= res.root <= res.hi
-    with pytest.raises(ValueError, match="sign"):
-        detection.find_threshold(lambda x: 1.0 + x * x, 0.0, 1.0)
-
-
 def test_sweep_finds_the_werner_a_root():
     spec = detection.wiring(
         2, [2, 2], [("P", [(0, 0), (1, 1)]), ("W3", [(0, 1), (1, 0)])]
@@ -121,7 +117,7 @@ def test_sweep_finds_the_werner_a_root():
     report = detection.sweep(spec, FAMILIES["werner_a"], grid_points=101)
     assert len(report.params) == 101
     assert len(report.thresholds) == 1
-    assert abs(report.thresholds[0].root - math.sqrt(0.6)) < 1e-6
+    assert abs(report.thresholds[0].root - math.sqrt(0.6)) < 1e-12
     assert report.param_name == "a"
 
 
@@ -135,7 +131,7 @@ def test_sweep_without_sign_change_reports_nothing():
 
 def test_sweep_records_exact_grid_zero():
     # every number here is a dyadic rational, so the grid node at t=0.5
-    # evaluates to exactly 0.0 and must be recorded without bisection
+    # evaluates to exactly 0.0, and the root is exactly 0.5
     def diag_family(t):
         return np.diag([(1.0 - t) / 2.0, t / 2.0, 0.25, 0.25]).astype(complex)
 
@@ -147,6 +143,34 @@ def test_sweep_records_exact_grid_zero():
     assert len(report.thresholds) == 1
     assert report.thresholds[0].root == 0.5
     assert report.thresholds[0].lo == report.thresholds[0].hi == 0.5
+
+
+def _shifted_w3_pair(first, second):
+    # W3 - c I on each copy of werner_a scores (1+a)/2 - c per copy,
+    # so the wiring's value is ((1+a)/2 - first) * ((1+a)/2 - second)
+    eye = np.eye(4, dtype=complex)
+    w3 = catalog("W3").matrix
+    return detection.wiring(
+        2, [2, 2], [(w3 - first * eye, [(0, 0), (0, 1)]), (w3 - second * eye, [(1, 0), (1, 1)])]
+    )
+
+
+@pytest.mark.parametrize("points", [200, 201, 202, 401])
+def test_tangent_root_is_not_a_sign_change(points):
+    # ((1+a)/2 - 0.75)^2 touches zero at a = 1/2 without changing sign
+    spec = _shifted_w3_pair(0.75, 0.75)
+    report = detection.sweep(spec, FAMILIES["werner_a"], points)
+    assert min(report.values) >= -1e-15
+    assert report.thresholds == ()
+
+
+def test_roots_two_thousandths_apart_are_two_sign_changes():
+    spec = _shifted_w3_pair(0.75, 0.751)
+    for points in (11, 201):
+        roots = [t.root for t in detection.sweep(spec, FAMILIES["werner_a"], points).thresholds]
+        assert len(roots) == 2
+        assert abs(roots[0] - 0.5) < 1e-12
+        assert abs(roots[1] - 0.502) < 1e-12
 
 
 def test_ordering_matrix_covers_all_combinations():
@@ -190,11 +214,6 @@ def test_evaluator_rejects_non_finite_state():
         evaluate(np.eye(2) / 2.0)
 
 
-def test_find_threshold_rejects_non_finite_values():
-    with pytest.raises(ValueError, match="not finite"):
-        detection.find_threshold(lambda p: -1.0 if p < 0.3 else math.nan, 0.0, 1.0)
-
-
 def test_sweep_rejects_non_finite_grid_values():
     # finite entries whose two-copy products overflow to inf past t=0.5
     def blowup(t):
@@ -220,7 +239,7 @@ def test_sweep_assembles_the_wiring_once(monkeypatch):
         2, [2, 2], [("P", [(0, 0), (1, 1)]), ("W3", [(0, 1), (1, 0)])]
     )
     report = detection.sweep(spec, FAMILIES["werner_a"], 201)
-    assert len(report.thresholds) == 1  # the bisection ran too
+    assert len(report.thresholds) == 1  # the root was located too
     # one build, of the placed slots only: A, B, A', B' in copy-major order
     placed = detection.wiring(
         1, [2, 2, 2, 2], [("P", [(0, 0), (0, 3)]), ("W3", [(0, 1), (0, 2)])]
@@ -286,7 +305,7 @@ def test_evaluation_builds_no_kronecker_product_and_no_tensor_power(monkeypatch)
     rho = FAMILIES["werner_w"](0.3)
     assert math.isfinite(detection.compile_wiring(ring)(rho))
     report = detection.sweep(load_scenario("ex3_cyclic").wiring, FAMILIES["werner_w"], 201)
-    assert abs(report.thresholds[0].root - (1.0 - 2.0 ** (-1.0 / 3.0))) < 1e-6
+    assert abs(report.thresholds[0].root - (1.0 - 2.0 ** (-1.0 / 3.0))) < 1e-12
 
 
 @pytest.mark.parametrize("points", [11, 401])
@@ -302,7 +321,7 @@ def test_sweep_calls_the_family_copies_plus_three_times(points):
 
         report = detection.sweep(spec, replace(fam, generator=counting), points)
         assert len(report.values) == points
-        assert len(report.thresholds) == 1  # the bisection ran too
+        assert len(report.thresholds) == 1  # the root was located too
         assert len(calls) <= spec.copies + 3
 
 
@@ -391,11 +410,25 @@ def test_expectation_matches_index_loop_oracle(case):
 
 @st.composite
 def family_sweeps(draw):
-    """A random wiring on a shipped family, a sub-range and a point count."""
+    """A random wiring on a shipped family, a sub-range and a point count.
+
+    Each raw witness X becomes X - x(t) I, x(t) its own expectation at a
+    drawn point t inside the range, so that on its own it changes sign
+    at t (unless x is constant) and the wiring's value often does too.
+    """
     fam = draw(st.sampled_from(sorted(FAMILIES.values(), key=lambda f: f.name)))
     spec = draw(placed_wirings(st.just(list(fam.dims))))[0]
     lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
     assume(hi - lo > 1e-3)
+    assignments = []
+    for asg in spec.assignments:
+        if not isinstance(asg.witness, str):
+            alone = replace(spec, assignments=(asg,))
+            t = lo + (hi - lo) * draw(st.floats(0.05, 0.95))
+            shift = detection.expectation(alone, fam(t))
+            asg = replace(asg, witness=asg.witness - shift * np.eye(len(asg.witness)))
+        assignments.append(asg)
+    spec = replace(spec, assignments=tuple(assignments))
     return spec, replace(fam, param_range=(lo, hi)), draw(st.integers(2, 40))
 
 
@@ -407,3 +440,47 @@ def test_sweep_values_match_direct_evaluation(case):
     evaluate = detection.compile_wiring(spec)
     for p, v in zip(report.params, report.values):
         assert abs(v - evaluate(fam(p))) < 1e-12
+
+
+# a raw witness on two or more slots has a shift that makes it change
+# sign inside the range, so about half of these sweeps have roots
+crossing_sweeps = family_sweeps().filter(
+    lambda case: any(not isinstance(a.witness, str) and len(a.slots) > 1 for a in case[0].assignments)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(crossing_sweeps, st.integers(2, 40))
+def test_sweep_thresholds_match_the_bisection_oracle(case, other_points):
+    spec, fam, points = case
+    thresholds = detection.sweep(spec, fam, points).thresholds
+    assert detection.sweep(spec, fam, other_points).thresholds == thresholds
+    evaluate = detection.compile_wiring(spec)
+    want, zero_ends = sign_change_oracle(lambda p: evaluate(fam(p)), *fam.param_range)
+    # a zero at an end of the range has no outside neighbour on the
+    # grid, so the oracle cannot say whether it is a sign change
+    got = [
+        t.root for t in thresholds
+        if not any(abs(t.root - end) <= 1e-9 for end in zero_ends)
+    ]
+    assert len(got) == len(want)
+    for root, reference in zip(got, want):
+        assert abs(root - reference) <= 1e-9
+    for t in thresholds:
+        assert t.lo == t.hi == t.root
+
+
+def test_sweep_and_ppt_threshold_do_not_load_numpy_polynomial():
+    code = (
+        "import sys, witwire\n"
+        "from witwire.reproduce import load_scenario\n"
+        "witwire.sweep(load_scenario('ex3_cyclic').wiring, witwire.FAMILIES['werner_w'], 201)\n"
+        "witwire.ppt_threshold(witwire.FAMILIES['noisy_w'], [2])\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial was imported'\n"
+    )
+    src = str(Path(detection.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

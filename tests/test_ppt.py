@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from witwire import ppt
 from witwire.multipartite import partial_transpose
-from witwire.states import FAMILIES, bell, projector
+from witwire.states import FAMILIES, StateFamily, bell, projector
 
 
 def test_maximally_entangled_pt_spectrum():
@@ -30,17 +32,23 @@ def test_werner_a_boundary_eigenvalue():
 
 def test_thresholds_for_both_families():
     root_w = ppt.ppt_threshold(FAMILIES["werner_w"], [1]).root
-    assert abs(root_w - 2.0 / 3.0) < 1e-6
+    assert abs(root_w - 2.0 / 3.0) < 1e-12
     root_a = ppt.ppt_threshold(FAMILIES["werner_a"], [1]).root
-    assert abs(root_a - 1.0 / 3.0) < 1e-6
+    assert abs(root_a - 1.0 / 3.0) < 1e-12
 
 
 def test_noisy_w_threshold_is_located():
-    # no external reference value for this family; just require a
-    # bracketed root strictly inside the parameter range
-    res = ppt.ppt_threshold(FAMILIES["noisy_w"], [2])
+    # no external reference value for this family: the minimum
+    # partial-transpose eigenvalue must vanish at the root and change
+    # sign across it
+    fam = FAMILIES["noisy_w"]
+    res = ppt.ppt_threshold(fam, [2])
     assert 0.0 < res.root < 1.0
-    assert res.hi - res.lo <= 1e-9
+    assert res.lo == res.hi == res.root
+    assert abs(ppt.min_pt_eigenvalue(fam(res.root), [2, 2, 2], [2])) < 1e-12
+    below = ppt.min_pt_eigenvalue(fam(res.root - 1e-6), [2, 2, 2], [2])
+    above = ppt.min_pt_eigenvalue(fam(res.root + 1e-6), [2, 2, 2], [2])
+    assert below < 0.0 < above
 
 
 def test_threshold_needs_a_nonempty_proper_slot_subset():
@@ -48,6 +56,26 @@ def test_threshold_needs_a_nonempty_proper_slot_subset():
     for name, slots in (("werner_w", [0, 1]), ("werner_a", []), ("noisy_w", [2, 0, 1])):
         with pytest.raises(ValueError, match="proper subset"):
             ppt.ppt_threshold(FAMILIES[name], slots)
+
+
+def test_threshold_on_a_sub_range_starts_from_its_positive_definite_end():
+    # no end is the maximally mixed state; the positive definite end is
+    # hi for werner_w and lo for werner_a
+    fam = replace(FAMILIES["werner_w"], param_range=(0.5, 0.9))
+    assert abs(ppt.ppt_threshold(fam, [1]).root - 2.0 / 3.0) < 1e-12
+    fam = replace(FAMILIES["werner_a"], param_range=(0.1, 0.9))
+    assert abs(ppt.ppt_threshold(fam, [1]).root - 1.0 / 3.0) < 1e-12
+
+
+def test_threshold_refusals():
+    werner_w = FAMILIES["werner_w"]
+    with pytest.raises(ValueError, match="no sign change"):
+        ppt.ppt_threshold(replace(werner_w, param_range=(0.7, 1.0)), [1])
+    with pytest.raises(ValueError, match="no positive definite"):
+        ppt.ppt_threshold(replace(werner_w, param_range=(0.0, 0.5)), [1])
+    squared = StateFamily("toy_squared", 2, (2, 2), "t", (0.0, 1.0), lambda t: werner_w(t * t))
+    with pytest.raises(ValueError, match="toy_squared is not affine"):
+        ppt.ppt_threshold(squared, [1])
 
 
 def test_ppt_check_validates_the_state():
