@@ -87,15 +87,11 @@ def _raw_weight(psi_mat: np.ndarray, vec: np.ndarray) -> float:
 
 
 def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
-    """Run the protocol on two copies of |phi> and report the A,B' state.
-
-    Kind "m" inverts Psi^dag, which has Psi's singular values, so that
-    is |phi>'s full-rank gate too.
-    """
+    """Run the protocol on two copies of |phi> and report the A,B' state."""
     psi_mat, vec, norm = _checked_vector(psi_mat, kind)
     d = psi_mat.shape[0]
-    if kind == "M":
-        inverse(psi_mat)  # Psi^dag Psi^dag can be well conditioned when Psi is not
+    if kind == "M":  # kind "m" inverted Psi^dag, whose singular values are Psi's
+        inverse(psi_mat)  # |phi>'s full-rank gate: Psi^dag Psi^dag can hide a singular Psi
     phi = psi_mat.T.reshape(-1)
     phi = phi / np.linalg.norm(phi)
     if norm < 1e-14:

@@ -22,6 +22,7 @@ off the interpolant, and its thresholds off the interpolant's roots.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -301,8 +302,7 @@ def closed_form(name: str, param: float, b: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 # Threshold location and parameter sweeps.
 
-# Sweep-polynomial roots closer than this fraction of the range are one root of
-# their summed multiplicity; rounding splits an m-fold root by about eps**(1/m).
+# Sweep roots this close (a fraction of the range) merge: rounding splits m-fold ones by eps**(1/m).
 ROOT_MERGE_TOL = 1e-4
 
 
@@ -328,9 +328,8 @@ def _chebyshev_interpolant(
 ) -> tuple[list[float], list[float], float]:
     """Newton form of the degree-``degree`` polynomial through f at Chebyshev nodes.
 
-    The degree+1 nodes are the Chebyshev points of the first kind on
-    [lo, hi], so the endpoints are not among them.  Returns the nodes,
-    the divided-difference coefficients and max |f(node)|.
+    The nodes are the Chebyshev points of the first kind on [lo, hi], not
+    the endpoints.  Returns the nodes, the coefficients and max |f(node)|.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = [
@@ -363,27 +362,34 @@ def _sign_changes(
     """Ascending real roots of odd multiplicity in [lo, hi] of the Newton-form polynomial.
 
     Leading terms no larger than ``floor`` on the range are dropped as
-    rounding noise.  The roots are the eigenvalues of the companion
-    matrix of the rest: nodes on the diagonal, ones below it, -c_i/c_top
-    added to the last column.  A simple root gets one Newton step; a
-    merged one (see ROOT_MERGE_TOL) is the mean of its eigenvalues.
+    rounding noise.  The roots are the eigenvalues of the companion matrix
+    of the rest (nodes on the diagonal, ones below, -c_i/c_top added to the
+    last column).  A simple root gets one Newton step; a merged one (see
+    ROOT_MERGE_TOL) is the mean of its eigenvalues.
     """
     width, top = hi - lo, len(coeffs) - 1
     while top > 0 and abs(coeffs[top]) * width**top <= floor:
         top -= 1
     if top == 0:
         return []
-    companion = np.diag(nodes[:top]) + np.eye(top, k=-1)
-    companion[:, -1] -= np.asarray(coeffs[:top]) / coeffs[top]
+    if top == 1:
+        eigenvalues = [nodes[0] - coeffs[0] / coeffs[1]]
+    elif top == 2:  # closed form for [[a, b], [1, d]]: a cold LAPACK call takes about 0.15 ms
+        a, b, d = nodes[0], -coeffs[0] / coeffs[2], nodes[1] - coeffs[1] / coeffs[2]
+        eigenvalues = [0.5 * (a + d) + s * cmath.sqrt(0.25 * (a - d) ** 2 + b) for s in (-1, 1)]
+    else:
+        companion = np.diag(nodes[:top]) + np.eye(top, k=-1)
+        companion[:, -1] -= np.asarray(coeffs[:top]) / coeffs[top]
+        eigenvalues = np.linalg.eigvals(companion)
     merge = ROOT_MERGE_TOL * width
-    near = sorted(float(z.real) for z in np.linalg.eigvals(companion) if abs(z.imag) <= merge)
+    near = sorted(float(z.real) for z in eigenvalues if abs(z.imag) <= merge)
     cuts = [i for i in range(1, len(near)) if near[i] - near[i - 1] > merge]
     roots = []
-    for a, b in zip([0] + cuts, cuts + [len(near)]):
-        if (b - a) % 2 == 0:
+    for start, stop in zip([0] + cuts, cuts + [len(near)]):
+        if (stop - start) % 2 == 0:
             continue
-        r = sum(near[a:b]) / (b - a)
-        if b - a == 1:
+        r = sum(near[start:stop]) / (stop - start)
+        if stop - start == 1:
             v, dv = _newton_value(nodes, coeffs, r)
             r -= v / dv
         if lo <= r <= hi:
@@ -396,17 +402,15 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
 
     The family must be affine in its parameter, as every shipped family
     is: then Tr(Wiring rho(p)^(x)k) is a polynomial of degree at most
-    k = ``spec.copies`` in p.  The wiring is compiled once and evaluated
-    at k+1 Chebyshev nodes of the range, plus once at each end as a
-    check; the grid values are read off the interpolating polynomial.
-    A non-finite wiring value raises, and so does an end value the
-    polynomial misses by more than floor = 1e-12 * (1 + max|node value|),
-    which is how a family that is not affine shows.  A zero-width range
-    takes one direct evaluation; a range too narrow for k+1 distinct
-    nodes raises.  The thresholds (lo == hi == root) are the
-    polynomial's real roots of odd multiplicity in the range, from
-    ``_sign_changes`` with that floor: a tangent zero is not a sign
-    change, and ``grid_points`` does not change them.
+    k = ``spec.copies`` in p, evaluated once at each of k+1 Chebyshev
+    nodes and at both ends.  An end value it misses by more than
+    floor = 1e-12 * (1 + max|node value|) shows the family is not affine
+    and raises, as does a non-finite value.  The grid is read off the
+    polynomial; a zero-width range takes one direct evaluation, and a
+    range too narrow for k+1 distinct nodes raises.  The thresholds
+    (lo == hi == root) are its real roots of odd multiplicity in the
+    range, from ``_sign_changes`` with that floor, so a tangent zero is
+    not one and ``grid_points`` does not change them.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
