@@ -25,13 +25,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import witnesses as _witnesses
-from .linalg import HERMITICITY_TOL, MAX_DIM, hermiticity_defect
+from .linalg import MAX_DIM, check_hermitian
 from .states import StateFamily
 
 IMAG_TOL = 1e-9
@@ -63,16 +63,7 @@ class Assignment:
                 f"expected {(want, want)} for local dims {local_dims}"
             )
         if not isinstance(self.witness, str):
-            # a raw matrix is outside input: a non-Hermitian one would
-            # give a real-looking trace that means nothing
-            if not np.isfinite(mat).all():
-                raise ValueError(f"witness on slots {self.slots} has non-finite entries")
-            defect = hermiticity_defect(mat)
-            if defect > HERMITICITY_TOL:
-                raise ValueError(
-                    f"witness on slots {self.slots} is not Hermitian: max|A - A^dag| = "
-                    f"{defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
-                )
+            check_hermitian(mat, f"witness on slots {self.slots}")  # a raw matrix is outside input
         return mat
 
 
@@ -125,16 +116,47 @@ def wiring(
     return WiringSpec(int(copies), tuple(int(d) for d in base_dims), tuple(built))
 
 
+def _operator_product(
+    factors: list[tuple[np.ndarray, list[int]]],
+    dims: list[int],
+    row_axes: list[int],
+    col_axes: list[int],
+) -> np.ndarray:
+    """Product of operators on disjoint slots, built straight into a chosen axis order.
+
+    ``factors`` pairs each matrix with the slots it acts on, in its own
+    slot order; a slot without one carries identity.  Slot s has
+    dimension dims[s], and its row and column axes land at positions
+    row_axes[s] and col_axes[s] of the 2 * len(dims)-axis result.  Each
+    factor is broadcast over the other axes and multiplied in, so no
+    transposed copy of the result is ever made.
+    """
+    m = 2 * len(dims)
+    placed = {s for _, slots in factors for s in slots}
+    factors = factors + [
+        (np.eye(d, dtype=complex), [s]) for s, d in enumerate(dims) if s not in placed
+    ]
+    op = np.ones([1] * m, dtype=complex)
+    for mat, slots in factors:
+        local = [dims[s] for s in slots]
+        axes = [row_axes[s] for s in slots] + [col_axes[s] for s in slots]
+        shape = [1] * m
+        for s in slots:
+            shape[row_axes[s]] = shape[col_axes[s]] = dims[s]
+        # sorted in Python: a first np.argsort call maps in numpy's sort kernels, 0.4 MiB of RSS
+        tensor = mat.reshape(local * 2).transpose(sorted(range(len(axes)), key=axes.__getitem__))
+        op = np.multiply(op, tensor.reshape(shape), order="C")
+    return op
+
+
 def assemble(spec: WiringSpec) -> np.ndarray:
     """Dense operator realizing the wiring on the full copy-major slot space.
 
     The witnesses act on disjoint slots, so the operator is the product
-    of their tensors, each with its row and column axes moved onto its
-    slots' axes and broadcast over the others, times identity on each
-    unassigned slot.  The factors multiply straight into slot order,
-    in assignment order, so no transposed copy of the result is made.
-    The result is a dense D x D matrix, so the full dimension D is
-    capped at MAX_DIM.
+    of their tensors, each broadcast over the other slots, times
+    identity on each unassigned slot, multiplied straight into slot
+    order.  The result is a dense D x D matrix, so the full dimension D
+    is capped at MAX_DIM.
     """
     spec.validate()
     full = spec.full_dims
@@ -145,29 +167,19 @@ def assemble(spec: WiringSpec) -> np.ndarray:
     factors = []
     for asg in spec.assignments:
         flats = [spec.flat_slot(c, p) for c, p in asg.slots]
-        local = [full[f] for f in flats]
-        order = sorted(range(len(flats)), key=flats.__getitem__)
-        tensor = asg.resolve(local).reshape(local + local)
-        factors.append((tensor.transpose(order + [len(flats) + i for i in order]), flats))
-    placed = {f for _, flats in factors for f in flats}
-    factors += [(np.eye(full[s], dtype=complex), [s]) for s in range(n) if s not in placed]
-    op = np.ones([1] * (2 * n), dtype=complex)
-    for tensor, flats in factors:
-        shape = [1] * (2 * n)
-        for f in flats:
-            shape[f] = shape[n + f] = full[f]
-        op = np.multiply(op, tensor.reshape(shape), order="C")
+        factors.append((asg.resolve([full[f] for f in flats]), flats))
+    op = _operator_product(factors, full, list(range(n)), list(range(n, 2 * n)))
     return op.reshape(total, total)
 
 
 def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
     """Validate the wiring and build its operator once; return ``rho -> Tr(W rho^(x)copies)``.
 
-    Only the placed slots get an operator: the witnesses are assembled
-    as a one-copy wiring on those slots, in copy-major order.  That is
-    a D_p x D_p matrix, D_p being the product of the placed dims, so
-    MAX_DIM caps D_p and not the full dimension D.  Its axes are
-    regrouped once, copy by copy, each copy's rows before its columns.
+    Only the placed slots get an operator, taken in copy-major order.
+    That is a D_p x D_p matrix, D_p being the product of the placed
+    dims, so MAX_DIM caps D_p and not the full dimension D.  It is
+    built straight into per-copy axis order, each copy's rows before
+    its columns, copy by copy.
 
     The evaluator takes one copy rho of the base system and reduces it
     onto each copy's placed parties; a copy with none placed gives the
@@ -184,21 +196,26 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
     n = len(base_dims)
     placed = sorted(spec.flat_slot(c, p) for asg in spec.assignments for c, p in asg.slots)
     position = {f: i for i, f in enumerate(placed)}
-    sub = WiringSpec(
-        copies=1,
-        base_dims=tuple(base_dims[f % n] for f in placed),
-        assignments=tuple(
-            replace(asg, slots=tuple((0, position[spec.flat_slot(c, p)]) for c, p in asg.slots))
-            for asg in spec.assignments
-        ),
-    )
+    dims = [base_dims[f % n] for f in placed]
+    if math.prod(dims) > MAX_DIM:
+        raise ValueError(f"placed-slot dimension {math.prod(dims)} exceeds MAX_DIM={MAX_DIM}")
+    factors = []
+    for asg in spec.assignments:
+        at = [position[spec.flat_slot(c, p)] for c, p in asg.slots]
+        factors.append((asg.resolve([dims[i] for i in at]), at))
     # copy-major order keeps each copy's placed slots together, so the
-    # operator's rows and columns split into one block per copy
+    # operator's rows and columns split into one block per copy: copy
+    # c's slots q = start..stop-1 put their rows at start + q and their
+    # columns at stop + q
     k = spec.copies
     parties = [tuple(f % n for f in placed if f // n == c) for c in range(k)]
     blocks = [math.prod(base_dims[p] for p in ps) for ps in parties]
-    op = assemble(sub).reshape(blocks * 2).transpose([a for c in range(k) for a in (c, k + c)])
-    op = np.ascontiguousarray(op).reshape(-1)
+    row_axes, col_axes = [], []
+    for ps in parties:
+        start, stop = len(row_axes), len(row_axes) + len(ps)
+        row_axes += [start + q for q in range(start, stop)]
+        col_axes += [stop + q for q in range(start, stop)]
+    op = _operator_product(factors, dims, row_axes, col_axes).reshape(-1)
     # rho's tensor has row labels 0..n-1 and column labels n..2n-1; an
     # unplaced party's column takes its row label, which traces it out,
     # and the output lists the columns first, so each reduced state

@@ -52,6 +52,21 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
+def check_hermitian(a: np.ndarray, what: str) -> None:
+    """Raise ValueError unless ``a`` is finite and Hermitian within HERMITICITY_TOL.
+
+    ``what`` names the matrix in the message.  For outside input: a
+    non-Hermitian operator gives real-looking values that mean nothing.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
+    defect = hermiticity_defect(a)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(
+            f"{what} is not Hermitian: max|A - A^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+
+
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return hermiticity_defect(a) <= tol
 

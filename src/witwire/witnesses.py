@@ -6,15 +6,26 @@ The sampling check below is Monte Carlo, so it gives an upper bound on
 the separable minimum, not a proof; it is meant to catch sign and
 normalization mistakes, and the analytic separability statements are
 covered by the fixed expected values in the test suite.
+
+The samples are a fixed stream for each seed: chunks of 20000, and in
+each chunk one (2, count, d) block of standard normals per party, in
+party order, real parts then imaginary parts of the unnormalized local
+vectors g.  A sample is never formed as a product vector: the operator
+is written once as a real tensor over the Hermitian basis of each
+party (|i><i|, then |i><j| + |j><i| and i|i><j| - i|j><i| for i < j),
+each g g^dag as its d^2 real coordinates in that basis, and the
+expectation is their contraction divided by the product of the |g|^2.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, hermitian_eig
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, check_hermitian, hermitian_eig
 from .multipartite import partial_transpose
 from .states import bell, projector, w_state
 
@@ -118,22 +129,63 @@ def catalog_names() -> tuple[str, ...]:
     return _CANONICAL_NAMES
 
 
-def product_state_batch(dims: list[int], count: int, rng: np.random.Generator) -> np.ndarray:
-    """count Haar-random pure product vectors on the given slots, stacked in rows.
+# The chunk size decides which draws go to which party, so a new value
+# would change every sampled state of every seed.
+_CHUNK = 20000
 
-    Each local state is a vector of standard complex Gaussians,
-    normalized; that is the Haar measure on local pure states.  One
-    draw of shape (2, count, d) per party gives the real parts, then
-    the imaginary parts: the same stream as two (count, d) draws.
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Real-coordinate basis of the Hermitian d x d matrices, stacked as (d*d, d, d).
+
+    |i><i| for each i, then |i><j| + |j><i| for each i < j, then
+    i|i><j| - i|j><i| for each i < j.  The coordinates of g g^dag in it
+    are |g_i|^2, Re g_i conj(g_j) and Im g_i conj(g_j).
     """
-    batch = np.ones((count, 1), dtype=complex)
-    for d in dims:
-        parts = rng.standard_normal((2, count, d))
-        parts /= np.sqrt(np.einsum("kbi,kbi->b", parts, parts))[:, None]
-        loc = np.empty((count, d), dtype=complex)
-        loc.real, loc.imag = parts
-        batch = (batch[:, :, None] * loc[:, None, :]).reshape(count, -1)
-    return batch
+    pairs = list(itertools.combinations(range(d), 2))
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    for i in range(d):
+        basis[i, i, i] = 1.0
+    for k, (i, j) in enumerate(pairs, start=d):
+        basis[k, i, j] = basis[k, j, i] = 1.0
+        basis[k + len(pairs), i, j] = 1j
+        basis[k + len(pairs), j, i] = -1j
+    return basis
+
+
+def _coordinate_tensor(matrix: np.ndarray, dims: list[int]) -> np.ndarray:
+    """T[mu_1, ..., mu_n] = Tr(matrix E_mu_1 (x) ... (x) E_mu_n), shape (d_1^2, ..., d_n^2).
+
+    Real for a Hermitian matrix.  Tr(A E) = sum A[r, c] conj(E[r, c])
+    for Hermitian E, so each party's row and column axes contract
+    against the conjugated basis, first party first.
+    """
+    n = len(dims)
+    t = matrix.reshape(dims * 2)
+    for p, d in enumerate(dims):
+        # party p's row axis is now first and its column axis n - p
+        t = np.tensordot(t, _hermitian_basis(d).conj(), axes=([0, n - p], [1, 2]))
+    return np.ascontiguousarray(t.real)
+
+
+def _local_coordinates(parts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the coordinates of g g^dag, g = x + iy, for every sample of one party's draw.
+
+    ``parts`` is the (2, count, d) draw (x, then y); ``out`` is
+    (d*d, count), one row per basis element of ``_hermitian_basis``;
+    ``scratch`` is (d, count).  The first d rows sum to |g|^2.
+    """
+    d = parts.shape[2]
+    x, y = parts.transpose(0, 2, 1)
+    np.multiply(x, x, out=out[:d])
+    np.multiply(y, y, out=scratch)
+    out[:d] += scratch
+    pairs = list(itertools.combinations(range(d), 2))
+    tmp = scratch[0]
+    for k, (i, j) in enumerate(pairs, start=d):
+        np.multiply(x[i], x[j], out=out[k])
+        out[k] += np.multiply(y[i], y[j], out=tmp)
+        np.multiply(y[i], x[j], out=out[k + len(pairs)])
+        out[k + len(pairs)] -= np.multiply(x[i], y[j], out=tmp)
 
 
 def min_product_expectation(
@@ -145,20 +197,45 @@ def min_product_expectation(
     """Minimum of <prod|matrix|prod> over sampled pure product states.
 
     An upper bound on the true separable minimum (sampling can only
-    miss the minimizer, never undershoot it).
+    miss the minimizer, never undershoot it).  Each local state is
+    g = x + iy, x and y vectors of standard normals, normalized: the
+    Haar measure on local pure states; ``seed`` fixes the stream
+    described in the module docstring.  A sample's value is
+    ``_coordinate_tensor(matrix)`` contracted with each party's real
+    coordinates of g g^dag (one GEMM for the last party, a
+    multiply-and-sum for each other), divided once by the product of
+    the |g|^2.  The matrix must be finite, of shape
+    (prod(dims), prod(dims)) and Hermitian within HERMITICITY_TOL.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    dims = [int(d) for d in dims]
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dims must be a nonempty list of positive dimensions, got {dims}")
     matrix = np.asarray(matrix, dtype=complex)
+    want = math.prod(dims)
+    if matrix.shape != (want, want):
+        raise ValueError(
+            f"matrix has shape {matrix.shape}, expected {(want, want)} for dims {dims}"
+        )
+    check_hermitian(matrix, "matrix")
+    t = _coordinate_tensor(matrix, dims).reshape(-1, dims[-1] ** 2)
     rng = np.random.default_rng(seed)
+    size = min(samples, _CHUNK)
+    coords = [np.empty((d * d, size)) for d in dims]
+    scratch = np.empty((max(dims), size))
     best = np.inf
-    remaining = samples
-    while remaining > 0:
-        count = min(remaining, 20000)
-        vecs = product_state_batch(dims, count, rng)
-        vals = np.einsum("bi,ij,bj->b", vecs.conj(), matrix, vecs).real
-        best = min(best, float(vals.min()))
-        remaining -= count
+    for start in range(0, samples, _CHUNK):
+        count = min(samples - start, _CHUNK)
+        chunk = [c[:, :count] for c in coords]
+        for d, c in zip(dims, chunk):
+            _local_coordinates(rng.standard_normal((2, count, d)), c, scratch[:d, :count])
+        vals = t @ chunk[-1]
+        norms = chunk[-1][: dims[-1]].sum(axis=0)
+        for d, c in zip(dims[-2::-1], chunk[-2::-1]):
+            vals = np.einsum("abk,bk->ak", vals.reshape(-1, d * d, count), c)
+            norms *= c[:d].sum(axis=0)
+        best = min(best, float((vals[0] / norms).min()))
     return best
 
 

@@ -9,6 +9,12 @@ The concentration oracles build every vector as a textbook Kronecker
 product, (A (x) B)|psi+> with ``np.kron``, where the library reads the
 same vector off a reshaped d x d matrix.
 
+The product-state oracles normalize each party's sampled vector, build
+the Kronecker product vectors of a whole chunk and take
+<v|matrix|v> with one einsum, where the library contracts real
+coordinates of the unnormalized local projectors; both read the same
+seeded draws.
+
 The sign-change oracle scans a dense grid of direct evaluations and
 bisects each bracketed sign change, where the library takes the roots
 of an interpolating polynomial from a companion matrix.
@@ -269,3 +275,36 @@ def sign_change_oracle(f, lo, hi, points=2001):
         last = (float(p), v)
     zero_ends = [end for end, v in ((lo, values[0]), (hi, values[-1])) if abs(v) <= floor]
     return roots, zero_ends
+
+
+def product_state_batch(dims, count, rng):
+    """count Haar-random pure product vectors on the given slots, stacked in rows.
+
+    Each local state is a vector of standard complex Gaussians,
+    normalized.  One draw of shape (2, count, d) per party gives the
+    real parts, then the imaginary parts: the same stream as two
+    (count, d) draws.
+    """
+    batch = np.ones((count, 1), dtype=complex)
+    for d in dims:
+        parts = rng.standard_normal((2, count, d))
+        parts /= np.sqrt(np.einsum("kbi,kbi->b", parts, parts))[:, None]
+        loc = np.empty((count, d), dtype=complex)
+        loc.real, loc.imag = parts
+        batch = (batch[:, :, None] * loc[:, None, :]).reshape(count, -1)
+    return batch
+
+
+def min_product_expectation_oracle(matrix, dims, samples, seed):
+    """Minimum of <v|matrix|v> over the seeded product vectors, 20000 per chunk."""
+    matrix = np.asarray(matrix, dtype=complex)
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    remaining = samples
+    while remaining > 0:
+        count = min(remaining, 20000)
+        vecs = product_state_batch(dims, count, rng)
+        vals = np.einsum("bi,ij,bj->b", vecs.conj(), matrix, vecs).real
+        best = min(best, float(vals.min()))
+        remaining -= count
+    return best

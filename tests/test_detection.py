@@ -228,23 +228,21 @@ def test_sweep_rejects_non_finite_grid_values():
 
 def test_sweep_assembles_the_wiring_once(monkeypatch):
     calls = []
-    assemble = detection.assemble
+    product = detection._operator_product
 
-    def counting(spec):
-        calls.append(spec)
-        return assemble(spec)
+    def counting(factors, dims, row_axes, col_axes):
+        calls.append(([slots for _, slots in factors], dims, row_axes, col_axes))
+        return product(factors, dims, row_axes, col_axes)
 
-    monkeypatch.setattr(detection, "assemble", counting)
+    monkeypatch.setattr(detection, "_operator_product", counting)
     spec = detection.wiring(
         2, [2, 2], [("P", [(0, 0), (1, 1)]), ("W3", [(0, 1), (1, 0)])]
     )
     report = detection.sweep(spec, FAMILIES["werner_a"], 201)
     assert len(report.thresholds) == 1  # the root was located too
-    # one build, of the placed slots only: A, B, A', B' in copy-major order
-    placed = detection.wiring(
-        1, [2, 2, 2, 2], [("P", [(0, 0), (0, 3)]), ("W3", [(0, 1), (0, 2)])]
-    )
-    assert calls == [placed]
+    # one build, of the placed slots only: A, B, A', B' in copy-major order,
+    # laid out per copy as (A, B rows, A, B columns, A', B' rows, A', B' columns)
+    assert calls == [([[0, 3], [1, 2]], [2, 2, 2, 2], [0, 1, 4, 5], [2, 3, 6, 7])]
 
 
 def test_evaluator_keeps_the_trace_of_a_copy_with_nothing_placed():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import min_product_expectation_oracle, product_state_batch
 from witwire import witnesses
 from witwire.linalg import hermitian_eig
 from witwire.states import projector, w_state
@@ -66,7 +68,7 @@ def test_catalog_names_and_case():
 
 def test_product_state_batch_is_normalized():
     rng = np.random.default_rng(71)
-    batch = witnesses.product_state_batch([2, 3], 50, rng)
+    batch = product_state_batch([2, 3], 50, rng)
     assert batch.shape == (50, 6)
     norms = np.linalg.norm(batch, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
@@ -75,7 +77,7 @@ def test_product_state_batch_is_normalized():
 def test_product_state_batch_keeps_the_two_draw_stream():
     # real parts then imaginary parts of each party, as two separate draws
     dims, count = [2, 3, 2], 40
-    batch = witnesses.product_state_batch(dims, count, np.random.default_rng(5))
+    batch = product_state_batch(dims, count, np.random.default_rng(5))
     rng = np.random.default_rng(5)
     want = np.ones((count, 1), dtype=complex)
     for d in dims:
@@ -102,6 +104,45 @@ def test_min_product_expectation_sees_entangled_directions():
     vals, _ = hermitian_eig(spec.matrix)
     low = witnesses.min_product_expectation(spec.matrix, [2, 2], 4000, seed=3)
     assert low > vals[0] + 0.5  # strictly inside the spectral range
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.sampled_from([[2], [3], [2, 2], [2, 3], [3, 2], [2, 2, 2], [2, 3, 2]]),
+    samples=st.sampled_from([1, 19999, 20000, 20001, 40001]),
+    seed=st.integers(0, 2**32 - 1),
+    entries=st.integers(0, 2**32 - 1),
+)
+def test_min_product_expectation_matches_the_product_vector_oracle(dims, samples, seed, entries):
+    # the same seeded samples, across chunk edges, as normalized product vectors
+    total = int(np.prod(dims))
+    rng = np.random.default_rng(entries)
+    a = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+    m = (a + a.conj().T) * rng.uniform(0.1, 10.0)
+    got = witnesses.min_product_expectation(m, dims, samples, seed)
+    want = min_product_expectation_oracle(m, dims, samples, seed)
+    assert abs(got - want) <= 1e-12 * (1.0 + np.max(np.abs(m)))
+
+
+def test_min_product_expectation_rejects_non_finite_entries():
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        witnesses.min_product_expectation(m, [2, 2], 100, seed=0)
+
+
+def test_min_product_expectation_rejects_a_shape_that_does_not_match_dims():
+    with pytest.raises(ValueError, match=r"shape \(4, 4\), expected \(6, 6\)"):
+        witnesses.min_product_expectation(np.eye(4), [2, 3], 100, seed=0)
+    with pytest.raises(ValueError, match="nonempty"):
+        witnesses.min_product_expectation(np.eye(1), [], 100, seed=0)
+
+
+def test_min_product_expectation_rejects_a_non_hermitian_matrix():
+    m = witnesses.catalog("W").matrix.copy()
+    m[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        witnesses.min_product_expectation(m, [2, 2], 100, seed=0)
 
 
 def test_validate_witness_reports():
