@@ -1,9 +1,11 @@
 """Witness wirings for multi-copy entanglement detection.
 
 Pair witnesses from a small catalog are placed on chosen (copy, party)
-slots of a k-copy state.  Each wiring is compiled once into an
-evaluator that contracts the operator of its placed slots with rho
-reduced onto each copy, one copy at a time, without forming rho^(x)k.
+slots of a k-copy state.  Each wiring is compiled once into per-copy
+witness blocks and an evaluator that sweeps the copies from last to
+first, multiplying each witness in at the last copy it touches and
+contracting each copy with rho reduced onto it as soon as no block
+still needs it, without forming rho^(x)k.
 Along the noise parameter of an affine family that trace is a
 polynomial of degree k, so a sweep evaluates it at k+1 points and
 takes its sign changes from the roots of that polynomial.  PPT gives

@@ -8,11 +8,15 @@ slots implicitly carry identity.  The expectation Tr(Wiring rho^(x)k)
 can then change sign where every single-copy witness expectation stays
 nonnegative, which is the whole point of the construction.
 
-``compile_wiring`` validates a wiring and builds the operator of its
-placed slots once (D_p x D_p, D_p <= D the product of the placed
-dims); the evaluator it returns reduces rho onto each copy's placed
-parties and contracts copy by copy, so no rho^(x)k and no D x D object
-is formed per trace.  ``assemble`` still gives the dense D x D
+``compile_wiring`` validates a wiring and builds, once, one block per
+copy where a witness ends: the product of the witnesses whose last
+copy that is, on the placed slots of that copy and the ones before it.
+The evaluator it returns reduces rho onto each copy's placed parties
+and sweeps the copies right to left, multiplying each copy's block in
+and contracting the copy out at once, so no rho^(x)k, no D x D object
+and no operator on all the placed slots (D_p x D_p, D_p <= D the
+product of the placed dims) is formed unless one witness block needs
+it.  MAX_DIM still caps D_p.  ``assemble`` still gives the dense D x D
 operator of a whole wiring, and MAX_DIM caps what it builds.  A sweep
 needs a family that is affine in its parameter, so that the trace is
 a polynomial of degree at most ``copies``: it evaluates the wiring at
@@ -56,7 +60,7 @@ class Assignment:
             if self.param is not None:
                 raise ValueError("param is only meaningful for named witnesses")
             mat = np.asarray(self.witness, dtype=complex)
-        want = int(np.prod(local_dims))
+        want = math.prod(local_dims)
         if mat.shape != (want, want):
             raise ValueError(
                 f"witness on slots {self.slots} has shape {mat.shape}, "
@@ -88,8 +92,12 @@ class WiringSpec:
     def validate(self) -> None:
         if self.copies < 1:
             raise ValueError(f"copies must be >= 1, got {self.copies}")
+        if not self.base_dims or min(self.base_dims) < 1:
+            raise ValueError(f"base_dims must be a non-empty list of dims >= 1, got {list(self.base_dims)}")
         seen: set[int] = set()
-        for asg in self.assignments:
+        for idx, asg in enumerate(self.assignments):
+            if not asg.slots:
+                raise ValueError(f"assignments[{idx}].slots: a witness needs at least one slot")
             for copy, party in asg.slots:
                 flat = self.flat_slot(copy, party)
                 if flat in seen:
@@ -125,18 +133,15 @@ def _operator_product(
     """Product of operators on disjoint slots, built straight into a chosen axis order.
 
     ``factors`` pairs each matrix with the slots it acts on, in its own
-    slot order; a slot without one carries identity.  Slot s has
-    dimension dims[s], and its row and column axes land at positions
-    row_axes[s] and col_axes[s] of the 2 * len(dims)-axis result.  Each
-    factor is broadcast over the other axes and multiplied in, so no
-    transposed copy of the result is ever made.
+    slot order.  Slot s has dimension dims[s], and its row and column
+    axes land at positions row_axes[s] and col_axes[s] of the
+    2 * len(dims)-axis result; a slot no factor acts on keeps size-1
+    axes there, to broadcast against.  Each factor is broadcast over
+    the other axes and multiplied in, so no transposed copy of the
+    result is ever made.
     """
     m = 2 * len(dims)
-    placed = {s for _, slots in factors for s in slots}
-    factors = factors + [
-        (np.eye(d, dtype=complex), [s]) for s, d in enumerate(dims) if s not in placed
-    ]
-    op = np.ones([1] * m, dtype=complex)
+    op = None
     for mat, slots in factors:
         local = [dims[s] for s in slots]
         axes = [row_axes[s] for s in slots] + [col_axes[s] for s in slots]
@@ -145,8 +150,9 @@ def _operator_product(
             shape[row_axes[s]] = shape[col_axes[s]] = dims[s]
         # sorted in Python: a first np.argsort call maps in numpy's sort kernels, 0.4 MiB of RSS
         tensor = mat.reshape(local * 2).transpose(sorted(range(len(axes)), key=axes.__getitem__))
-        op = np.multiply(op, tensor.reshape(shape), order="C")
-    return op
+        tensor = tensor.reshape(shape)
+        op = tensor.copy() if op is None else np.multiply(op, tensor, order="C")
+    return np.ones([1] * m, dtype=complex) if op is None else op
 
 
 def assemble(spec: WiringSpec) -> np.ndarray:
@@ -168,54 +174,72 @@ def assemble(spec: WiringSpec) -> np.ndarray:
     for asg in spec.assignments:
         flats = [spec.flat_slot(c, p) for c, p in asg.slots]
         factors.append((asg.resolve([full[f] for f in flats]), flats))
+    placed = {f for _, flats in factors for f in flats}
+    factors += [(np.eye(d, dtype=complex), [f]) for f, d in enumerate(full) if f not in placed]
     op = _operator_product(factors, full, list(range(n)), list(range(n, 2 * n)))
     return op.reshape(total, total)
 
 
 def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
-    """Validate the wiring and build its operator once; return ``rho -> Tr(W rho^(x)copies)``.
+    """Validate the wiring and build its witness blocks once; return ``rho -> Tr(W rho^(x)copies)``.
 
-    Only the placed slots get an operator, taken in copy-major order.
-    That is a D_p x D_p matrix, D_p being the product of the placed
-    dims, so MAX_DIM caps D_p and not the full dimension D.  It is
-    built straight into per-copy axis order, each copy's rows before
-    its columns, copy by copy.
+    Only the placed slots get axes, taken in copy-major order, each
+    copy's rows before its columns, copy by copy.  Each witness is
+    multiplied into the block of the last copy it touches, which spans
+    the placed slots of that copy and of every copy before it, with
+    size-1 axes where the block's witnesses do not act.  A copy where
+    no witness ends has no block.  MAX_DIM still caps D_p, the product
+    of the placed dims, though no block need reach D_p x D_p.
 
     The evaluator takes one copy rho of the base system and reduces it
     onto each copy's placed parties; a copy with none placed gives the
-    scalar Tr rho.  It then contracts the operator with those reduced
-    states from the last copy to the first, one matrix-vector product
-    per copy, and never forms rho^(x)copies.  The value must come out
-    real (Hermitian observable against a Hermitian state); an imaginary
-    residue above 1e-9 raises, because silently discarding it would
-    mask a mis-assembled wiring.
+    scalar Tr rho.  It then walks the copies from the last to the first:
+    it multiplies the copy's block into the pending tensor and contracts
+    the copy out with one matrix-vector product against its reduced
+    state, so the largest object is set by the witnesses that straddle
+    the current copy, and rho^(x)copies is never formed.  The value must
+    come out real (Hermitian observable against a Hermitian state); an
+    imaginary residue above 1e-9 raises, because silently discarding it
+    would mask a mis-assembled wiring.
     """
     spec.validate()
     base_dims = list(spec.base_dims)
     base_total = math.prod(base_dims)
     n = len(base_dims)
-    placed = sorted(spec.flat_slot(c, p) for asg in spec.assignments for c, p in asg.slots)
+    k = spec.copies
+    flats = [[spec.flat_slot(c, p) for c, p in asg.slots] for asg in spec.assignments]
+    placed = sorted(f for fs in flats for f in fs)
     position = {f: i for i, f in enumerate(placed)}
     dims = [base_dims[f % n] for f in placed]
     if math.prod(dims) > MAX_DIM:
         raise ValueError(f"placed-slot dimension {math.prod(dims)} exceeds MAX_DIM={MAX_DIM}")
-    factors = []
-    for asg in spec.assignments:
-        at = [position[spec.flat_slot(c, p)] for c, p in asg.slots]
-        factors.append((asg.resolve([dims[i] for i in at]), at))
-    # copy-major order keeps each copy's placed slots together, so the
-    # operator's rows and columns split into one block per copy: copy
-    # c's slots q = start..stop-1 put their rows at start + q and their
-    # columns at stop + q
-    k = spec.copies
+    ending: list[list] = [[] for _ in range(k)]  # the witnesses whose last copy is c
+    for asg, fs in zip(spec.assignments, flats):
+        at = [position[f] for f in fs]
+        ending[max(fs) // n].append((asg.resolve([dims[i] for i in at]), at))
+    # copy c's slots q = start..stop-1 put their rows at start + q and
+    # their columns at stop + q, so copies 0..c fill the first 2 * stop
+    # axes, and the copies above c are gone by the time c's block comes in
     parties = [tuple(f % n for f in placed if f // n == c) for c in range(k)]
-    blocks = [math.prod(base_dims[p] for p in ps) for ps in parties]
-    row_axes, col_axes = [], []
+    row_axes, col_axes, stops = [], [], []
     for ps in parties:
         start, stop = len(row_axes), len(row_axes) + len(ps)
+        stops.append(stop)
         row_axes += [start + q for q in range(start, stop)]
         col_axes += [stop + q for q in range(start, stop)]
-    op = _operator_product(factors, dims, row_axes, col_axes).reshape(-1)
+    # pending[c] is the shape the pending tensor takes to meet copy c's
+    # block: (1,) for the first block, which at most meets a factor
+    # Tr rho per empty copy above it
+    blocks: list[np.ndarray | None] = [None] * k
+    pending: list[tuple[int, ...] | None] = [None] * k
+    shape = None
+    for c in range(k - 1, -1, -1):
+        if ending[c]:
+            stop = stops[c]
+            block = _operator_product(ending[c], dims[:stop], row_axes[:stop], col_axes[:stop])
+            pending[c] = (1,) if shape is None else shape[: 2 * stop]
+            shape = block.shape if shape is None else tuple(map(max, pending[c], block.shape))
+            blocks[c] = block
     # rho's tensor has row labels 0..n-1 and column labels n..2n-1; an
     # unplaced party's column takes its row label, which traces it out,
     # and the output lists the columns first, so each reduced state
@@ -242,9 +266,12 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
             ps: np.einsum(tensor, labels, out).reshape(-1)
             for ps, (labels, out) in reductions.items()
         }
-        x = op
+        x = None
         for c in range(k - 1, -1, -1):
-            x = x.reshape(-1, blocks[c] ** 2) @ reduced[parties[c]]
+            if blocks[c] is not None:
+                x = blocks[c] if x is None else x.reshape(pending[c]) * blocks[c]
+            sigma = reduced[parties[c]]
+            x = sigma if x is None else x.reshape(-1, sigma.size) @ sigma
         value = complex(x[0])
         if abs(value.imag) > IMAG_TOL:
             raise ValueError(

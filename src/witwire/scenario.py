@@ -72,6 +72,13 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ValueError(f"{where}: missing required field(s) {', '.join(missing)}")
 
 
+def _integer(value, where: str) -> int:
+    # JSON integers only: int() would read 2.7 as 2, "2" as 2 and true as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def _parse_family(obj: dict) -> FamilyRef:
     _require_keys(obj, {"name", "value", "start", "stop", "points"}, {"name"}, "family")
     name = obj["name"]
@@ -91,7 +98,7 @@ def _parse_family(obj: dict) -> FamilyRef:
     if has_value:
         return FamilyRef(name=name, value=float(obj["value"]))
     if has_grid:
-        points = int(obj["points"])
+        points = _integer(obj["points"], "family.points")
         if points < 2:
             raise ValueError(f"family: grid needs points >= 2, got {points}")
         return FamilyRef(
@@ -117,13 +124,17 @@ def _parse_wiring(obj: dict) -> WiringSpec:
         assignments.append(
             Assignment(
                 witness=str(a["witness"]),
-                slots=tuple((int(c), int(p)) for c, p in slots),
+                slots=tuple(
+                    tuple(_integer(v, f"{where}.slots[{i}]") for v in s) for i, s in enumerate(slots)
+                ),
                 param=None if param is None else float(param),
             )
         )
+    if not isinstance(obj["base_dims"], list):
+        raise ValueError("wiring.base_dims: expected a list of integers")
     spec = WiringSpec(
-        copies=int(obj["copies"]),
-        base_dims=tuple(int(d) for d in obj["base_dims"]),
+        copies=_integer(obj["copies"], "wiring.copies"),
+        base_dims=tuple(_integer(d, "wiring.base_dims") for d in obj["base_dims"]),
         assignments=tuple(assignments),
     )
     spec.validate()
@@ -141,7 +152,7 @@ def parse_scenario(text: str) -> Scenario:
         {"version", "name", "seed", "family", "wiring"},
         "scenario",
     )
-    if int(obj["version"]) != SCENARIO_VERSION:
+    if _integer(obj["version"], "version") != SCENARIO_VERSION:
         raise ValueError(f"unsupported scenario version {obj['version']}")
     family = _parse_family(obj["family"])
     wiring = _parse_wiring(obj["wiring"])
@@ -166,7 +177,7 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         version=SCENARIO_VERSION,
         name=str(obj["name"]),
-        seed=int(obj["seed"]),
+        seed=_integer(obj["seed"], "seed"),
         family=family,
         wiring=wiring,
         witness_param=witness_param,

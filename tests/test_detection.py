@@ -41,6 +41,21 @@ def test_wiring_slot_collision_rejected():
         detection.wiring(1, [2, 2], [("W", [(0, 0), (1, 1)])]).validate()
 
 
+@pytest.mark.parametrize("base_dims", [[], [0], [-2], [2, 0]])
+def test_wiring_with_malformed_base_dims_rejected(base_dims):
+    spec = detection.wiring(1, base_dims, [])
+    with pytest.raises(ValueError, match="base_dims"):
+        spec.validate()
+
+
+def test_assignment_without_slots_rejected():
+    spec = detection.wiring(2, [2, 2], [("W", [(0, 0), (1, 1)]), (np.eye(1), [])])
+    with pytest.raises(ValueError, match=r"assignments\[1\]\.slots"):
+        spec.validate()
+    with pytest.raises(ValueError, match=r"assignments\[1\]\.slots"):
+        detection.compile_wiring(spec)
+
+
 def test_expectation_known_cross_value():
     rho = FIXED_STATES["bell_psi_plus"][0]
     cross = detection.wiring(
@@ -256,6 +271,10 @@ def test_evaluator_keeps_the_trace_of_a_copy_with_nothing_placed():
     # the same wiring with the empty copy left out scores half as much
     two = detection.wiring(2, [2, 2], [("W3", [(0, 1), (1, 0)]), ("W", [(1, 1), (0, 0)])])
     assert abs(want.real - 2.0 * detection.expectation(two, rho)) < 1e-12
+    # and so does the same wiring with the empty copy last, where the
+    # factor Tr(rho) comes before any block
+    last = detection.wiring(3, [2, 2], [("W3", [(0, 1), (1, 0)]), ("W", [(1, 1), (0, 0)])])
+    assert abs(detection.expectation(last, rho) - want.real) < 1e-12
 
 
 def test_wiring_with_no_assignments_is_a_power_of_the_trace():
@@ -306,6 +325,69 @@ def test_evaluation_builds_no_kronecker_product_and_no_tensor_power(monkeypatch)
     assert abs(report.thresholds[0].root - (1.0 - 2.0 ** (-1.0 / 3.0))) < 1e-12
 
 
+RING = [("W1", [(0, 1), (1, 0)]), ("W2", [(1, 1), (2, 0)]),
+        ("W3", [(2, 1), (3, 0)]), ("W4", [(3, 1), (0, 0)])]
+
+
+def _counting_operator_product(monkeypatch):
+    calls = []
+    product = detection._operator_product
+
+    def counting(factors, dims, row_axes, col_axes):
+        op = product(factors, dims, row_axes, col_axes)
+        calls.append(([mat for mat, _ in factors], [slots for _, slots in factors], len(dims), op.size))
+        return op
+
+    monkeypatch.setattr(detection, "_operator_product", counting)
+    return calls
+
+
+def test_each_witness_joins_the_block_of_the_last_copy_it_touches(monkeypatch):
+    calls = _counting_operator_product(monkeypatch)
+    detection.compile_wiring(detection.wiring(4, [2, 2], RING))
+    # all eight slots are placed, so slot (c, p) sits at position 2c + p;
+    # the block at copy c spans the placed slots of copies 0..c
+    want = [(["W3", "W4"], [[5, 6], [7, 0]], 8), (["W2"], [[3, 4]], 6), (["W1"], [[1, 2]], 4)]
+    assert [(slots, n) for _, slots, n, _ in calls] == [(slots, n) for _, slots, n in want]
+    for (mats, _, _, size), (names, _, _) in zip(calls, want):
+        assert all(np.array_equal(m, catalog(name).matrix) for m, name in zip(mats, names))
+        assert size <= 256  # W3 (x) W4 on four slots; one operator on all eight has 65536
+
+
+def test_sweep_builds_each_block_once_and_none_per_evaluation(monkeypatch):
+    calls = _counting_operator_product(monkeypatch)
+    spec = detection.wiring(4, [2, 2], RING)
+    fam = FAMILIES["werner_w"]
+    report = detection.sweep(spec, fam, 11)
+    assert [slots for _, slots, _, _ in calls] == [[[5, 6], [7, 0]], [[3, 4]], [[1, 2]]]
+    # the dense trace, built after the count (assemble shares the helper)
+    dense = detection.assemble(spec) @ multipartite.tensor_power(fam(0.3), [2, 2], 4)[0]
+    assert abs(report.values[3] - np.trace(dense).real) < 1e-12
+
+
+def test_four_copy_wiring_with_a_free_slot_matches_the_oracle():
+    # D = 256: a witness from copy 0 to copy 3, one ending on copy 1, a
+    # three-slot one ending on copy 3, and slot (2, 0) left free
+    rng = np.random.default_rng(12)
+
+    def gaussian(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    def hermitian(d):
+        g = gaussian(d)
+        return g + g.conj().T
+
+    groups = [[(0, 0), (3, 1)], [(1, 1), (0, 1)], [(1, 0), (3, 0), (2, 1)]]
+    mats = [hermitian(4), catalog("W2").matrix, hermitian(8)]
+    spec = detection.wiring(4, [2, 2], [(mats[0], groups[0]), ("W2", groups[1]), (mats[2], groups[2])])
+    g = gaussian(4)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    want = expectation_oracle(mats, groups, [2, 2], 4, rho)
+    assert abs(want.imag) < 1e-12
+    assert abs(detection.expectation(spec, rho) - want.real) < 1e-12
+
+
 @pytest.mark.parametrize("points", [11, 401])
 def test_sweep_calls_the_family_copies_plus_three_times(points):
     for name, family in (("ex3_cyclic", "werner_w"), ("ex5_cross", "noisy_w")):
@@ -349,7 +431,7 @@ PAIR_NAMES = ("W", "V", "W1", "W2", "W3", "W4", "P", "P_b")
 
 @st.composite
 def placed_wirings(draw, dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3)):
-    """A random wiring (copies, base dims <= 64 in total) with its state.
+    """A random wiring (base_total**copies <= 64, up to 4 copies) with its state.
 
     ``dims`` draws the base dims.  Returns (spec, local matrices, slot
     groups, rho) so the oracle sees the same matrices the wiring
@@ -357,7 +439,7 @@ def placed_wirings(draw, dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_
     """
     base_dims = draw(dims)
     base_total = int(np.prod(base_dims))
-    max_copies = max(k for k in (1, 2, 3) if base_total**k <= 64)
+    max_copies = max(k for k in (1, 2, 3, 4) if base_total**k <= 64)
     copies = draw(st.integers(1, max_copies))
     n = len(base_dims)
     order = draw(st.permutations(range(n * copies)))

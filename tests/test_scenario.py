@@ -83,6 +83,33 @@ def test_version_gate():
         sc.parse_scenario(json.dumps(raw))
 
 
+# through int(), each edit of ex3_cyclic but copies_bool reads as a valid
+# scenario (slot (0, 0), 3 copies, version 1, 10 points, base dims
+# [2, 2], seed 20240817); true reads as 1 copy and fails on a slot's
+# copy index instead of on the field that is wrong
+NON_INTEGER_FIELDS = {
+    "slot": (("wiring", "assignments", 0, "slots", 0, 1), 0.9, r"assignments\[0\]\.slots\[0\]"),
+    "copies": (("wiring", "copies"), 3.7, r"wiring\.copies"),
+    "copies_bool": (("wiring", "copies"), True, r"wiring\.copies"),
+    "version": (("version",), 1.9, r"^version"),
+    "points": (("family", "points"), 10.5, r"family\.points"),
+    "base_dims": (("wiring", "base_dims", 1), "2", r"wiring\.base_dims"),
+    "seed": (("seed",), 20240817.5, r"^seed"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
+def test_parse_rejects_a_non_integer(field):
+    path, value, where = NON_INTEGER_FIELDS[field]
+    raw = json.loads(sc.serialize_scenario(load_scenario("ex3_cyclic")))
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=where + r".*expected an integer"):
+        sc.parse_scenario(json.dumps(raw))
+
+
 def test_run_point_scenarios():
     run = sc.run_scenario(load_scenario("ex1_cross"))
     assert run.kind == "point"
