@@ -65,8 +65,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if run.kind == "sweep":
         for b, report in run.reports:
             suffix = "" if b is None else f" at {scenario.witness_param.name}={fmt(b)}"
-            for t in report.thresholds:
-                print(f"sign change near {fmt(t.root)}{suffix}")
+            for root in report.thresholds:
+                print(f"sign change near {fmt(root)}{suffix}")
     return 0
 
 
@@ -80,16 +80,16 @@ def cmd_ppt(args: argparse.Namespace) -> int:
         slots = [len(family.dims) - 1]
     else:
         slots = [int(s) for s in args.slots.split(",")]
-    result = ppt_threshold(family, slots)
+    root = ppt_threshold(family, slots)
     print(f"family {family.name}, transposed slots {slots}")
-    print(f"threshold {fmt(result.root)}")
+    print(f"threshold {fmt(root)}")
     if args.out:
         Path(args.out).write_text(
             _dump(
                 {
                     "family": family.name,
                     "transposed_slots": slots,
-                    "threshold": round15(result.root),
+                    "threshold": round15(root),
                 }
             ),
             encoding="utf-8",

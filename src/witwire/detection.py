@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -198,9 +198,10 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
     the copy out with one matrix-vector product against its reduced
     state, so the largest object is set by the witnesses that straddle
     the current copy, and rho^(x)copies is never formed.  The value must
-    come out real (Hermitian observable against a Hermitian state); an
-    imaginary residue above 1e-9 raises, because silently discarding it
-    would mask a mis-assembled wiring.
+    come out finite and real (Hermitian observable against a Hermitian
+    state): a value that overflows or is NaN raises, and so does an
+    imaginary residue above 1e-9, because silently discarding it would
+    mask a mis-assembled wiring.
     """
     spec.validate()
     base_dims = list(spec.base_dims)
@@ -273,7 +274,9 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
             sigma = reduced[parties[c]]
             x = sigma if x is None else x.reshape(-1, sigma.size) @ sigma
         value = complex(x[0])
-        if abs(value.imag) > IMAG_TOL:
+        if not abs(value.real) < math.inf:  # negated, so NaN fails too
+            raise ValueError(f"expectation value {value.real} is not finite")
+        if not abs(value.imag) <= IMAG_TOL:
             raise ValueError(
                 f"expectation has imaginary residue {value.imag:.3e} above {IMAG_TOL:.0e}"
             )
@@ -351,20 +354,11 @@ ROOT_MERGE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
-class ThresholdResult:
-    root: float
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
 class DetectionReport:
-    family: str
     param_name: str
     params: tuple[float, ...]
     values: tuple[float, ...]
-    thresholds: tuple[ThresholdResult, ...]
-    wiring: WiringSpec = field(repr=False)
+    thresholds: tuple[float, ...]
 
 
 def _chebyshev_interpolant(
@@ -449,12 +443,12 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
     k = ``spec.copies`` in p, evaluated once at each of k+1 Chebyshev
     nodes and at both ends.  An end value it misses by more than
     floor = 1e-12 * (1 + max|node value|) shows the family is not affine
-    and raises, as does a non-finite value.  The grid is read off the
-    polynomial; a zero-width range takes one direct evaluation, and a
-    range too narrow for k+1 distinct nodes raises.  The thresholds
-    (lo == hi == root) are its real roots of odd multiplicity in the
-    range, from ``_sign_changes`` with that floor, so a tangent zero is
-    not one and ``grid_points`` does not change them.
+    and raises, as the evaluator does on a non-finite value.  The grid is
+    read off the polynomial; a zero-width range takes one direct
+    evaluation, and a range too narrow for k+1 distinct nodes raises.
+    The thresholds are its real roots of odd multiplicity in the range,
+    from ``_sign_changes`` with that floor, so a tangent zero is not one
+    and ``grid_points`` does not change them.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -465,21 +459,16 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
     lo, hi = family.param_range
     params = np.linspace(lo, hi, grid_points)
     evaluate = compile_wiring(spec)
-
-    def direct(p: float) -> float:
-        v = evaluate(family(p))
-        if not math.isfinite(v):
-            raise ValueError(f"wiring value at {family.param_name}={p!r} is not finite: {v}")
-        return v
-
     if lo == hi:
-        values = [direct(lo)] * grid_points
+        values = [evaluate(family(lo))] * grid_points
         roots = []
     else:
-        nodes, coeffs, scale = _chebyshev_interpolant(direct, lo, hi, spec.copies)
+        nodes, coeffs, scale = _chebyshev_interpolant(
+            lambda p: evaluate(family(p)), lo, hi, spec.copies
+        )
         floor = 1e-12 * (1.0 + scale)
         for end in (lo, hi):
-            miss = abs(_newton_value(nodes, coeffs, end)[0] - direct(end))
+            miss = abs(_newton_value(nodes, coeffs, end)[0] - evaluate(family(end)))
             if miss > floor:
                 raise ValueError(
                     f"family {family.name} is not affine in {family.param_name}: the degree-"
@@ -488,12 +477,10 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
         values = _newton_value(nodes, coeffs, params)[0].tolist()
         roots = _sign_changes(nodes, coeffs, lo, hi, floor)
     return DetectionReport(
-        family=family.name,
         param_name=family.param_name,
         params=tuple(float(p) for p in params),
         values=tuple(float(v) for v in values),
-        thresholds=tuple(ThresholdResult(r, r, r) for r in roots),
-        wiring=spec,
+        thresholds=tuple(roots),
     )
 
 

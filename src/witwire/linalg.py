@@ -69,10 +69,6 @@ def check_hermitian(a: np.ndarray, what: str) -> None:
         )
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_defect(a) <= tol
-
-
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 

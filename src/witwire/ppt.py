@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import ThresholdResult
 from .linalg import dagger, hermitian_eig, min_eigenvalue
 from .multipartite import check_density_matrix, partial_transpose
 from .states import StateFamily
@@ -40,7 +39,7 @@ def ppt_check(rho, dims, transposed_slots) -> PptVerdict:
     return PptVerdict(low, tuple(int(s) for s in transposed_slots), verdict)
 
 
-def ppt_threshold(family: StateFamily, transposed_slots) -> ThresholdResult:
+def ppt_threshold(family: StateFamily, transposed_slots) -> float:
     """Parameter where the family's minimum partial-transpose eigenvalue crosses zero.
 
     The slots must be a nonempty proper subset of the parties: the
@@ -68,5 +67,4 @@ def ppt_threshold(family: StateFamily, transposed_slots) -> ThresholdResult:
     nu_min = hermitian_eig(dagger(whiten) @ (pts[1 - start] - pts[start]) @ whiten)[0][0]
     if nu_min > -1.0:
         raise ValueError(f"no sign change on {ends}: positive definite from {ends[start]!r}")
-    root = ends[start] + (ends[1 - start] - ends[start]) / -float(nu_min)
-    return ThresholdResult(root, root, root)
+    return ends[start] + (ends[1 - start] - ends[start]) / -float(nu_min)

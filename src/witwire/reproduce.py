@@ -1,14 +1,18 @@
 """Canonical reproduction runs: one check table per worked example.
 
 Each id loads its shipped scenario files, evaluates them, and grades
-the results against fixed expected values at fixed tolerances.  The
-report is a plain dict ready for JSON serialization; every numeric
+the results against fixed expected values at fixed tolerances.  Every
+check along a family (a closed-form gap, a floor over all placements of
+some witnesses) is read off ``detection.sweep`` reports, so each wiring
+is compiled once and evaluated at copies+3 points, whatever the grid.
+The report is a plain dict ready for JSON serialization; every numeric
 value in it is rounded to 15 significant digits so repeated runs with
 the same seed emit identical bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from importlib import resources
 
@@ -17,8 +21,7 @@ import numpy as np
 from . import concentration as conc
 from . import detection, ppt
 from .scenario import Scenario, parse_scenario, round15, run_scenario
-from .states import FAMILIES, projector, sigma_imaginarity, w_state
-from .witnesses import catalog
+from .states import FAMILIES, sigma_imaginarity
 
 REPRODUCE_IDS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ghz", "concentration")
 
@@ -79,7 +82,16 @@ def _single_threshold(report: detection.DetectionReport, where: str) -> float:
         raise ValueError(
             f"{where}: expected exactly one sign change, found {len(report.thresholds)}"
         )
-    return report.thresholds[0].root
+    return report.thresholds[0]
+
+
+def _sweep_min(names, family, copies: int, base_dims, groups) -> float:
+    """Least value on the family's 101-point grid of any choice of ``names`` on the slot groups."""
+    values: list[float] = []
+    for combo in itertools.product(names, repeat=len(groups)):
+        spec = detection.wiring(copies, base_dims, list(zip(combo, groups)))
+        values += detection.sweep(spec, family, 101).values
+    return min(values)
 
 
 def _ex1(seed: int) -> tuple[list[dict], list[str]]:
@@ -122,8 +134,7 @@ def _ex2(seed: int) -> tuple[list[dict], list[str]]:
 
 
 def _ex3(seed: int) -> tuple[list[dict], list[str]]:
-    scen = load_scenario("ex3_cyclic")
-    run = run_scenario(scen)
+    run = run_scenario(load_scenario("ex3_cyclic"))
     _, report = run.reports[0]
     checks = [
         _eq("cyclic_at_zero", report.values[0], -0.25, 1e-10),
@@ -135,29 +146,17 @@ def _ex3(seed: int) -> tuple[list[dict], list[str]]:
         ),
     ]
     family = FAMILIES["werner_w"]
-    grid = np.linspace(0.0, 1.0, 101)
-    evaluate = detection.compile_wiring(scen.wiring)
     gap = max(
-        abs(evaluate(family(w)) - detection.closed_form("three_copy_cyclic", w))
-        for w in grid
+        abs(v - detection.closed_form("three_copy_cyclic", w))
+        for w, v in zip(report.params, report.values)
     )
     checks.append(_limit("closed_form_max_gap", gap, 1e-8))
-    single_min = min(
-        float(np.trace(catalog(name).matrix @ family(w)).real)
-        for name in ("W1", "W2", "W3")
-        for w in grid
-    )
+    names = ("W1", "W2", "W3")
+    single_min = _sweep_min(names, family, 1, (2, 2), [((0, 0), (0, 1))])
     checks.append(_floor("single_copy_min", single_min, -1e-9))
-    cross = {"cross": [((0, 0), (1, 1)), ((0, 1), (1, 0))]}
-    pair_min = min(
-        v
-        for w in grid
-        for v in detection.ordering_matrix(
-            ("W1", "W2", "W3"), family, float(w), 2, (2, 2), cross
-        ).values()
-    )
+    pair_min = _sweep_min(names, family, 2, (2, 2), [((0, 0), (1, 1)), ((0, 1), (1, 0))])
     checks.append(_floor("two_copy_cross_pairs_min", pair_min, -1e-9))
-    root = ppt.ppt_threshold(family, [1]).root
+    root = ppt.ppt_threshold(family, [1])
     checks.append(_eq("ppt_threshold", root, 2.0 / 3.0, 1e-12))
     # candidate "plain" three-copy orderings at w=0, recorded for
     # comparison with the cyclic value above; nothing singles out one
@@ -166,35 +165,25 @@ def _ex3(seed: int) -> tuple[list[dict], list[str]]:
         "per_copy": [((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (2, 1))],
         "same_party": [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((2, 0), (2, 1))],
     }
-    table = detection.ordering_matrix(
-        ("W1", "W2", "W3"), family, 0.0, 3, (2, 2), candidates
-    )
-    ordered = ("W1", "W2", "W3")
-    checks.append(_recorded("per_copy_ordering_at_zero", table[(ordered, "per_copy")]))
-    checks.append(
-        _recorded("same_party_ordering_at_zero", table[(ordered, "same_party")])
-    )
+    table = detection.ordering_matrix(names, family, 0.0, 3, (2, 2), candidates)
+    checks.append(_recorded("per_copy_ordering_at_zero", table[(names, "per_copy")]))
+    checks.append(_recorded("same_party_ordering_at_zero", table[(names, "same_party")]))
     return checks, []
 
 
 def _ex4(seed: int) -> tuple[list[dict], list[str]]:
-    scen = load_scenario("ex4_p_w3")
-    run = run_scenario(scen)
+    run = run_scenario(load_scenario("ex4_p_w3"))
     _, report = run.reports[0]
     checks = [
         _eq("p_w3_threshold", _single_threshold(report, "ex4_p_w3"), math.sqrt(3.0 / 5.0), 1e-12),
     ]
-    family = FAMILIES["werner_a"]
-    grid = np.linspace(0.0, 1.0, 101)
-    evaluate = detection.compile_wiring(scen.wiring)
     gap = max(
-        abs(evaluate(family(a)) - detection.closed_form("p_w3_cross", a))
-        for a in grid
+        abs(v - detection.closed_form("p_w3_cross", a))
+        for a, v in zip(report.params, report.values)
     )
     checks.append(_limit("closed_form_max_gap", gap, 1e-8))
 
-    scen_b = load_scenario("ex4_pb_w3")
-    run_b = run_scenario(scen_b)
+    run_b = run_scenario(load_scenario("ex4_pb_w3"))
     gap_b = 0.0
     for b, rep in run_b.reports:
         expected_root = math.sqrt((2.0 * b + 1.0) / (6.0 * b - 1.0))
@@ -205,28 +194,19 @@ def _ex4(seed: int) -> tuple[list[dict], list[str]]:
             gap_b = max(gap_b, abs(v - detection.closed_form("pb_w3_cross", a, b=b)))
     checks.append(_limit("pb_closed_form_max_gap", gap_b, 1e-8))
 
-    w3 = catalog("W3").matrix
-    trace_gap = max(
-        abs(float(np.trace(w3 @ family(a)).real) - (1.0 + a) / 2.0) for a in grid
-    )
+    single = detection.wiring(1, (2, 2), [("W3", [(0, 0), (0, 1)])])
+    rep_w3 = detection.sweep(single, FAMILIES["werner_a"], 101)
+    trace_gap = max(abs(v - (1.0 + a) / 2.0) for a, v in zip(rep_w3.params, rep_w3.values))
     checks.append(_limit("w3_single_trace_max_gap", trace_gap, 1e-10))
     return checks, []
 
 
 def _ex5(seed: int) -> tuple[list[dict], list[str]]:
     notes: list[str] = []
-    family = FAMILIES["noisy_w"]
-    grid = np.linspace(0.0, 1.0, 101)
     # the plain tensor product of three pair witnesses in slot order:
     # slots (A,B), (C,A'), (B',C') -- no crossing, and no detection
-    plain = {"plain_tensor": [((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (1, 2))]}
-    floor_val = min(
-        v
-        for c in grid
-        for v in detection.ordering_matrix(
-            ("W3", "W4"), family, float(c), 2, (2, 2, 2), plain
-        ).values()
-    )
+    plain = [((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (1, 2))]
+    floor_val = _sweep_min(("W3", "W4"), FAMILIES["noisy_w"], 2, (2, 2, 2), plain)
     checks = [_floor("uncrossed_triples_min", floor_val, -1e-9)]
 
     run_cross = run_scenario(load_scenario("ex5_cross"))

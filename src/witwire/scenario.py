@@ -12,9 +12,10 @@ canonical file reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 
-from .detection import Assignment, DetectionReport, ThresholdResult, WiringSpec, expectation, sweep
+from .detection import Assignment, DetectionReport, WiringSpec, expectation, sweep
 from .states import FAMILIES, FIXED_STATES
 
 SCENARIO_VERSION = 1
@@ -79,6 +80,18 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _number(value, where: str) -> float:
+    # finite JSON numbers only: float() would read "0.25" as 0.25 and true as 1.0; the
+    # negated bound also turns away NaN, Infinity and integers too large for a float
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _parse_family(obj: dict) -> FamilyRef:
     _require_keys(obj, {"name", "value", "start", "stop", "points"}, {"name"}, "family")
     name = obj["name"]
@@ -96,13 +109,16 @@ def _parse_family(obj: dict) -> FamilyRef:
         known = sorted(FAMILIES) + sorted(FIXED_STATES)
         raise ValueError(f"family: unknown name {name!r}; known: {', '.join(known)}")
     if has_value:
-        return FamilyRef(name=name, value=float(obj["value"]))
+        return FamilyRef(name=name, value=_number(obj["value"], "family.value"))
     if has_grid:
         points = _integer(obj["points"], "family.points")
         if points < 2:
             raise ValueError(f"family: grid needs points >= 2, got {points}")
         return FamilyRef(
-            name=name, start=float(obj["start"]), stop=float(obj["stop"]), points=points
+            name=name,
+            start=_number(obj["start"], "family.start"),
+            stop=_number(obj["stop"], "family.stop"),
+            points=points,
         )
     raise ValueError(f"family: {name!r} is parameterized; give value or start/stop/points")
 
@@ -127,7 +143,7 @@ def _parse_wiring(obj: dict) -> WiringSpec:
                 slots=tuple(
                     tuple(_integer(v, f"{where}.slots[{i}]") for v in s) for i, s in enumerate(slots)
                 ),
-                param=None if param is None else float(param),
+                param=None if param is None else _number(param, f"{where}.param"),
             )
         )
     if not isinstance(obj["base_dims"], list):
@@ -165,7 +181,9 @@ def parse_scenario(text: str) -> Scenario:
         witness_param = WitnessParam(
             witness=str(wp["witness"]),
             name=str(wp["name"]),
-            values=tuple(float(v) for v in wp["values"]),
+            values=tuple(
+                _number(v, f"witness_param.values[{i}]") for i, v in enumerate(wp["values"])
+            ),
         )
     outputs = []
     for idx, sink in enumerate(obj.get("outputs", [])):
@@ -300,8 +318,10 @@ def round15(x: float) -> float:
     return float(fmt(x))
 
 
-def threshold_dict(t: ThresholdResult) -> dict:
-    return {"root": round15(t.root), "lo": round15(t.lo), "hi": round15(t.hi)}
+def threshold_dict(root: float) -> dict:
+    # every root is exact, so the bracket [lo, hi] the format carries is the root itself
+    r = round15(root)
+    return {"root": r, "lo": r, "hi": r}
 
 
 def run_to_csv(run: ScenarioRun) -> str:

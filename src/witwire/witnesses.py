@@ -100,7 +100,7 @@ _BY_LOWER = {n.lower(): n for n in _CANONICAL_NAMES}
 def catalog(name: str, b: float | None = None) -> WitnessSpec:
     """Look up a catalog operator by name.
 
-    P_b takes the tuning parameter b >= 1 (b=1 gives P/4 entrywise) and
+    P_b takes a finite tuning parameter b >= 1 (b=1 gives P/4 entrywise) and
     is built on each call; every other name rejects a parameter and
     returns its shared read-only entry.  W3 is fixed at the trace-2
     normalization 2|psi_plus><psi_plus|^T2 -- a positive rescaling
@@ -117,8 +117,8 @@ def catalog(name: str, b: float | None = None) -> WitnessSpec:
     if b is None:
         raise ValueError("P_b requires the parameter b")
     b = float(b)
-    if b < 1.0:
-        raise ValueError(f"P_b is positive semidefinite only for b >= 1, got b={b}")
+    if not 1.0 <= b < math.inf:  # negated, so NaN fails too
+        raise ValueError(f"P_b is positive semidefinite only for finite b >= 1, got b={b}")
     mat = _P_CORE.copy()
     mat[1, 1] = mat[2, 2] = 2.0 * b
     mat[1, 2] = mat[2, 1] = -2.0 * b

@@ -125,7 +125,7 @@ def test_03_example_three_cyclic_wiring():
     if len(report.thresholds) != 1:
         failures.append(f"{len(report.thresholds)} sign changes, expected 1")
     else:
-        root = report.thresholds[0].root
+        root = report.thresholds[0]
         if abs(root - (1.0 - 2.0 ** (-1.0 / 3.0))) > 1e-12:
             failures.append(f"root {root!r} not within 1 - 2^(-1/3) +- 1e-12")
 
@@ -148,7 +148,7 @@ def test_03_example_three_cyclic_wiring():
     if pair_min < -1e-9:
         failures.append(f"two-copy cross-pair minimum {pair_min!r} below -1e-9")
 
-    root_ppt = ppt.ppt_threshold(family, [1]).root
+    root_ppt = ppt.ppt_threshold(family, [1])
     if abs(root_ppt - 2.0 / 3.0) > 1e-12:
         failures.append(f"PPT threshold {root_ppt!r} not 2/3 +- 1e-12")
     _report(3, "example-3 three-copy cyclic", failures)
@@ -172,7 +172,7 @@ def test_04_example_four_psd_pair():
         failures.append(f"(3-5a^2)/4 gap {poly_gap:.3e} above 1e-8")
 
     report = detection.sweep(wiring_p, family, grid_points=201)
-    root = report.thresholds[0].root if report.thresholds else float("nan")
+    root = report.thresholds[0] if report.thresholds else float("nan")
     if abs(root - math.sqrt(3.0 / 5.0)) > 1e-12:
         failures.append(f"root {root!r} not sqrt(3/5) +- 1e-12")
 
@@ -182,7 +182,7 @@ def test_04_example_four_psd_pair():
         )
         rep_b = detection.sweep(wiring_b, family, grid_points=201)
         want = math.sqrt((2.0 * b + 1.0) / (6.0 * b - 1.0))
-        got = rep_b.thresholds[0].root if rep_b.thresholds else float("nan")
+        got = rep_b.thresholds[0] if rep_b.thresholds else float("nan")
         if abs(got - want) > 1e-12:
             failures.append(f"b={b:g} root {got!r}, expected {want!r}")
 
@@ -272,7 +272,7 @@ def test_06_example_five_three_party_cross():
     if len(rep.thresholds) != 1:
         failures.append(f"{len(rep.thresholds)} cross sign changes, expected 1")
     else:
-        root = rep.thresholds[0].root
+        root = rep.thresholds[0]
         if abs(root - 0.406) <= 0.002:
             pass  # reference value confirmed by the dense run
         else:
@@ -291,7 +291,7 @@ def test_06_example_five_three_party_cross():
 
     ww1_scen = load_scenario("ex5_ww1")
     rep_ww1 = detection.sweep(ww1_scen.wiring, family, grid_points=201)
-    got = rep_ww1.thresholds[0].root if rep_ww1.thresholds else float("nan")
+    got = rep_ww1.thresholds[0] if rep_ww1.thresholds else float("nan")
     if abs(got - 8.0 / 21.0) > 1e-12:
         failures.append(f"projector-witness root {got!r} not 8/21 +- 1e-12")
     if not got < 0.39:  # consistent with detection below c ~ 0.38

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -124,6 +125,28 @@ def test_sweep_bad_scenario_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err
+
+
+def test_sweep_rejects_a_nan_witness_parameter(tmp_path, capsys):
+    # Python's json reads the NaN literal; at a fixed state there is no grid to catch it
+    path = tmp_path / "nan.json"
+    scenario = {
+        "version": 1,
+        "name": "nan_param",
+        "seed": 1,
+        "family": {"name": "bell_psi_plus"},
+        "wiring": {
+            "copies": 1,
+            "base_dims": [2, 2],
+            "assignments": [{"witness": "P_b", "slots": [[0, 0], [0, 1]], "param": math.nan}],
+        },
+        "outputs": [{"format": "json", "path": "nan_param.json"}],
+    }
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code = cli.main(["sweep", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "nan_param.json").exists()
 
 
 def test_ppt_subcommand(capsys):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import expectation_oracle, sign_change_oracle
 from witwire import detection, multipartite
 from witwire.reproduce import load_scenario
+from witwire.scenario import round15, threshold_dict
 from witwire.states import FAMILIES, FIXED_STATES, StateFamily, bell, projector, werner_a
 from witwire.witnesses import catalog
 
@@ -132,7 +133,7 @@ def test_sweep_finds_the_werner_a_root():
     report = detection.sweep(spec, FAMILIES["werner_a"], grid_points=101)
     assert len(report.params) == 101
     assert len(report.thresholds) == 1
-    assert abs(report.thresholds[0].root - math.sqrt(0.6)) < 1e-12
+    assert abs(report.thresholds[0] - math.sqrt(0.6)) < 1e-12
     assert report.param_name == "a"
 
 
@@ -156,8 +157,8 @@ def test_sweep_records_exact_grid_zero():
     report = detection.sweep(spec, fam, grid_points=3)
     assert report.values[1] == 0.0
     assert len(report.thresholds) == 1
-    assert report.thresholds[0].root == 0.5
-    assert report.thresholds[0].lo == report.thresholds[0].hi == 0.5
+    assert report.thresholds[0] == 0.5
+    assert threshold_dict(report.thresholds[0]) == {"root": 0.5, "lo": 0.5, "hi": 0.5}
 
 
 def _shifted_w3_pair(first, second):
@@ -182,7 +183,7 @@ def test_tangent_root_is_not_a_sign_change(points):
 def test_roots_two_thousandths_apart_are_two_sign_changes():
     spec = _shifted_w3_pair(0.75, 0.751)
     for points in (11, 201):
-        roots = [t.root for t in detection.sweep(spec, FAMILIES["werner_a"], points).thresholds]
+        roots = detection.sweep(spec, FAMILIES["werner_a"], points).thresholds
         assert len(roots) == 2
         assert abs(roots[0] - 0.5) < 1e-12
         assert abs(roots[1] - 0.502) < 1e-12
@@ -227,6 +228,14 @@ def test_evaluator_rejects_non_finite_state():
         evaluate(rho)
     with pytest.raises(ValueError, match="shape"):
         evaluate(np.eye(2) / 2.0)
+
+
+def test_evaluator_rejects_a_value_that_overflows():
+    # finite, Hermitian witnesses whose product 1e400 overflows: inf * 0 makes the value NaN
+    big = 1e200 * np.eye(4)
+    spec = detection.wiring(2, [2, 2], [(big, [(0, 0), (0, 1)]), (big, [(1, 0), (1, 1)])])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        detection.expectation(spec, FIXED_STATES["bell_psi_plus"][0])
 
 
 def test_sweep_rejects_non_finite_grid_values():
@@ -322,7 +331,7 @@ def test_evaluation_builds_no_kronecker_product_and_no_tensor_power(monkeypatch)
     rho = FAMILIES["werner_w"](0.3)
     assert math.isfinite(detection.compile_wiring(ring)(rho))
     report = detection.sweep(load_scenario("ex3_cyclic").wiring, FAMILIES["werner_w"], 201)
-    assert abs(report.thresholds[0].root - (1.0 - 2.0 ** (-1.0 / 3.0))) < 1e-12
+    assert abs(report.thresholds[0] - (1.0 - 2.0 ** (-1.0 / 3.0))) < 1e-12
 
 
 RING = [("W1", [(0, 1), (1, 0)]), ("W2", [(1, 1), (2, 0)]),
@@ -430,12 +439,15 @@ PAIR_NAMES = ("W", "V", "W1", "W2", "W3", "W4", "P", "P_b")
 
 
 @st.composite
-def placed_wirings(draw, dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3)):
+def placed_wirings(
+    draw, dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3), multi_slot_raw=False
+):
     """A random wiring (base_total**copies <= 64, up to 4 copies) with its state.
 
-    ``dims`` draws the base dims.  Returns (spec, local matrices, slot
-    groups, rho) so the oracle sees the same matrices the wiring
-    resolves.
+    ``dims`` draws the base dims; ``multi_slot_raw`` makes the first
+    witness a raw matrix on two or more slots.  Returns (spec, local
+    matrices, slot groups, rho) so the oracle sees the same matrices the
+    wiring resolves.
     """
     base_dims = draw(dims)
     base_total = int(np.prod(base_dims))
@@ -446,8 +458,11 @@ def placed_wirings(draw, dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     groups, mats, entries = [], [], []
     pos = 0
-    while pos < len(order) and draw(st.booleans()):
-        size = draw(st.integers(1, min(3, len(order) - pos)))
+    while pos < len(order):
+        forced = multi_slot_raw and not groups
+        if not forced and not draw(st.booleans()):
+            break
+        size = draw(st.integers(2 if forced else 1, min(3, len(order) - pos)))
         flats = order[pos:pos + size]
         pos += size
         group = [divmod(f, n) for f in flats]
@@ -457,7 +472,7 @@ def placed_wirings(draw, dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_
             choices += PAIR_NAMES
         if local_dims == [2, 2, 2]:
             choices.append("WW1")
-        name = draw(st.sampled_from(choices))
+        name = "raw" if forced else draw(st.sampled_from(choices))
         if name == "raw":
             d = int(np.prod(local_dims))
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -489,15 +504,16 @@ def test_expectation_matches_index_loop_oracle(case):
 
 
 @st.composite
-def family_sweeps(draw):
+def family_sweeps(draw, multi_slot_raw=False):
     """A random wiring on a shipped family, a sub-range and a point count.
 
     Each raw witness X becomes X - x(t) I, x(t) its own expectation at a
     drawn point t inside the range, so that on its own it changes sign
     at t (unless x is constant) and the wiring's value often does too.
+    ``multi_slot_raw`` is passed on to ``placed_wirings``.
     """
     fam = draw(st.sampled_from(sorted(FAMILIES.values(), key=lambda f: f.name)))
-    spec = draw(placed_wirings(st.just(list(fam.dims))))[0]
+    spec = draw(placed_wirings(st.just(list(fam.dims)), multi_slot_raw))[0]
     lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
     assume(hi - lo > 1e-3)
     assignments = []
@@ -524,9 +540,7 @@ def test_sweep_values_match_direct_evaluation(case):
 
 # a raw witness on two or more slots has a shift that makes it change
 # sign inside the range, so about half of these sweeps have roots
-crossing_sweeps = family_sweeps().filter(
-    lambda case: any(not isinstance(a.witness, str) and len(a.slots) > 1 for a in case[0].assignments)
-)
+crossing_sweeps = family_sweeps(multi_slot_raw=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -539,15 +553,12 @@ def test_sweep_thresholds_match_the_bisection_oracle(case, other_points):
     want, zero_ends = sign_change_oracle(lambda p: evaluate(fam(p)), *fam.param_range)
     # a zero at an end of the range has no outside neighbour on the
     # grid, so the oracle cannot say whether it is a sign change
-    got = [
-        t.root for t in thresholds
-        if not any(abs(t.root - end) <= 1e-9 for end in zero_ends)
-    ]
+    got = [t for t in thresholds if not any(abs(t - end) <= 1e-9 for end in zero_ends)]
     assert len(got) == len(want)
     for root, reference in zip(got, want):
         assert abs(root - reference) <= 1e-9
     for t in thresholds:
-        assert t.lo == t.hi == t.root
+        assert threshold_dict(t) == {"root": round15(t), "lo": round15(t), "hi": round15(t)}
 
 
 def test_sweep_and_ppt_threshold_do_not_load_numpy_polynomial():

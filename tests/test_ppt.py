@@ -31,9 +31,9 @@ def test_werner_a_boundary_eigenvalue():
 
 
 def test_thresholds_for_both_families():
-    root_w = ppt.ppt_threshold(FAMILIES["werner_w"], [1]).root
+    root_w = ppt.ppt_threshold(FAMILIES["werner_w"], [1])
     assert abs(root_w - 2.0 / 3.0) < 1e-12
-    root_a = ppt.ppt_threshold(FAMILIES["werner_a"], [1]).root
+    root_a = ppt.ppt_threshold(FAMILIES["werner_a"], [1])
     assert abs(root_a - 1.0 / 3.0) < 1e-12
 
 
@@ -42,12 +42,12 @@ def test_noisy_w_threshold_is_located():
     # partial-transpose eigenvalue must vanish at the root and change
     # sign across it
     fam = FAMILIES["noisy_w"]
-    res = ppt.ppt_threshold(fam, [2])
-    assert 0.0 < res.root < 1.0
-    assert res.lo == res.hi == res.root
-    assert abs(ppt.min_pt_eigenvalue(fam(res.root), [2, 2, 2], [2])) < 1e-12
-    below = ppt.min_pt_eigenvalue(fam(res.root - 1e-6), [2, 2, 2], [2])
-    above = ppt.min_pt_eigenvalue(fam(res.root + 1e-6), [2, 2, 2], [2])
+    root = ppt.ppt_threshold(fam, [2])
+    assert isinstance(root, float)
+    assert 0.0 < root < 1.0
+    assert abs(ppt.min_pt_eigenvalue(fam(root), [2, 2, 2], [2])) < 1e-12
+    below = ppt.min_pt_eigenvalue(fam(root - 1e-6), [2, 2, 2], [2])
+    above = ppt.min_pt_eigenvalue(fam(root + 1e-6), [2, 2, 2], [2])
     assert below < 0.0 < above
 
 
@@ -62,9 +62,9 @@ def test_threshold_on_a_sub_range_starts_from_its_positive_definite_end():
     # no end is the maximally mixed state; the positive definite end is
     # hi for werner_w and lo for werner_a
     fam = replace(FAMILIES["werner_w"], param_range=(0.5, 0.9))
-    assert abs(ppt.ppt_threshold(fam, [1]).root - 2.0 / 3.0) < 1e-12
+    assert abs(ppt.ppt_threshold(fam, [1]) - 2.0 / 3.0) < 1e-12
     fam = replace(FAMILIES["werner_a"], param_range=(0.1, 0.9))
-    assert abs(ppt.ppt_threshold(fam, [1]).root - 1.0 / 3.0) < 1e-12
+    assert abs(ppt.ppt_threshold(fam, [1]) - 1.0 / 3.0) < 1e-12
 
 
 def test_threshold_refusals():

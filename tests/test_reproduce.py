@@ -1,0 +1,48 @@
+"""Checks along a family are read off one sweep per wiring."""
+
+import numpy as np
+import pytest
+
+from witwire import detection
+from witwire.reproduce import reproduce
+from witwire.states import FAMILIES
+
+
+# compiling each wiring again at each of 101 grid points took 965 and 810 compiles
+@pytest.mark.parametrize("example_id, most", [("ex3", 67), ("ex5", 10)])
+def test_reproduce_compiles_each_wiring_once(monkeypatch, example_id, most):
+    calls = []
+    compile_wiring = detection.compile_wiring
+
+    def counting(spec):
+        calls.append(spec)
+        return compile_wiring(spec)
+
+    monkeypatch.setattr(detection, "compile_wiring", counting)
+    assert reproduce(example_id)["all_pass"]
+    assert 0 < len(calls) <= most
+
+
+FLOORS = {
+    "single_copy_min": ("ex3", ("W1", "W2", "W3"), "werner_w", 1, (2, 2), [((0, 0), (0, 1))]),
+    "two_copy_cross_pairs_min": (
+        "ex3", ("W1", "W2", "W3"), "werner_w", 2, (2, 2), [((0, 0), (1, 1)), ((0, 1), (1, 0))]
+    ),
+    "uncrossed_triples_min": (
+        "ex5", ("W3", "W4"), "noisy_w", 2, (2, 2, 2), [((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (1, 2))]
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FLOORS))
+def test_floor_is_the_per_point_grid_minimum(check):
+    example_id, names, family, copies, base_dims, groups = FLOORS[check]
+    direct = min(
+        v
+        for p in np.linspace(0.0, 1.0, 101)
+        for v in detection.ordering_matrix(
+            names, FAMILIES[family], float(p), copies, base_dims, {"plain": groups}
+        ).values()
+    )
+    value = next(c["value"] for c in reproduce(example_id)["checks"] if c["name"] == check)
+    assert abs(value - direct) <= 1e-12

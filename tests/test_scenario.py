@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -98,16 +99,38 @@ NON_INTEGER_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
-def test_parse_rejects_a_non_integer(field):
-    path, value, where = NON_INTEGER_FIELDS[field]
-    raw = json.loads(sc.serialize_scenario(load_scenario("ex3_cyclic")))
+def _edited(name, path, value):
+    raw = json.loads(sc.serialize_scenario(load_scenario(name)))
     target = raw
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
+def test_parse_rejects_a_non_integer(field):
+    path, value, where = NON_INTEGER_FIELDS[field]
     with pytest.raises(ValueError, match=where + r".*expected an integer"):
-        sc.parse_scenario(json.dumps(raw))
+        sc.parse_scenario(_edited("ex3_cyclic", path, value))
+
+
+# through float(), "0.5" reads as 0.5, true as 1.0, false as 0.0 and
+# NaN (which Python's json accepts) as nan, all without an error
+NON_NUMBER_FIELDS = {
+    "value": ("ex3_cyclic", ("family",), {"name": "werner_w", "value": "0.5"}, r"family\.value"),
+    "start": ("ex3_cyclic", ("family", "start"), "0.25", r"family\.start"),
+    "stop": ("ex3_cyclic", ("family", "stop"), True, r"family\.stop"),
+    "values": ("ex4_pb_w3", ("witness_param", "values", 1), False, r"witness_param\.values\[1\]"),
+    "param": ("ex4_pb_w3", ("wiring", "assignments", 0, "param"), math.nan, r"assignments\[0\]\.param"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_NUMBER_FIELDS))
+def test_parse_rejects_a_non_number(field):
+    name, path, value, where = NON_NUMBER_FIELDS[field]
+    with pytest.raises(ValueError, match=where + r".*expected a finite number"):
+        sc.parse_scenario(_edited(name, path, value))
 
 
 def test_run_point_scenarios():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +45,13 @@ def test_p_b_family():
         witnesses.catalog("P_b", b=0.5)  # below the PSD range
     with pytest.raises(ValueError):
         witnesses.catalog("W", b=2.0)  # parameter rejected
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf])
+def test_p_b_rejects_a_non_finite_b(b):
+    # NaN fails no "b < 1" test, and inf builds inf / inf = NaN entries
+    with pytest.raises(ValueError, match="finite b >= 1"):
+        witnesses.catalog("P_b", b=b)
 
 
 def test_three_party_projector_witness():
