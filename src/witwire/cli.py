@@ -5,8 +5,8 @@ check table, `sweep` evaluates a scenario file and writes CSV/JSON
 tables, `ppt` solves for a family's partial-transpose threshold,
 `validate` samples product states against a catalog operator, and
 `concentrate` runs the two-copy measurement protocol on random pure
-states.  All numeric output goes through one 15-significant-digit
-formatter, so identical inputs give identical bytes.
+states.  All numeric output is formatted as `%.15g` (15 significant
+digits), so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -215,8 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call, not at import, and reused by every later
+# call: parse_args leaves the parser as it found it, usage errors included
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

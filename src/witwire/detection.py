@@ -311,8 +311,8 @@ def _p_w3_cross(a: float) -> float:
 
 
 def _pb_w3_cross(a: float, b: float) -> float:
-    if b < 1.0:
-        raise ValueError(f"tuning parameter b must be >= 1, got {b}")
+    if not 1.0 <= b < math.inf:  # negated, so NaN fails too
+        raise ValueError(f"tuning parameter b must be finite and >= 1, got {b}")
     return ((1.0 - 6.0 * b) * a**2 + 2.0 * b + 1.0) / (16.0 * b)
 
 
@@ -478,8 +478,8 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
         roots = _sign_changes(nodes, coeffs, lo, hi, floor)
     return DetectionReport(
         param_name=family.param_name,
-        params=tuple(float(p) for p in params),
-        values=tuple(float(v) for v in values),
+        params=tuple(params.tolist()),
+        values=tuple(values),
         thresholds=tuple(roots),
     )
 

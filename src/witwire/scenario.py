@@ -325,7 +325,12 @@ def threshold_dict(root: float) -> dict:
 
 
 def run_to_csv(run: ScenarioRun) -> str:
-    """CSV table for a sweep: `param,value`, or `<p>,<b>,value` for a b-axis."""
+    """CSV table for a sweep: `param,value`, or `<p>,<b>,value` for a b-axis.
+
+    Each number is formatted once, as `fmt` formats it: the grid that
+    every b shares once per run, each b once per report, each value once
+    per cell.
+    """
     s = run.scenario
     if run.kind == "point":
         lines = ["param,value"]
@@ -336,14 +341,17 @@ def run_to_csv(run: ScenarioRun) -> str:
     if s.witness_param is None:
         lines = ["param,value"]
         _, report = run.reports[0]
-        for p, v in zip(report.params, report.values):
-            lines.append(f"{fmt(p)},{fmt(v)}")
+        lines += ["%.15g,%.15g" % pv for pv in zip(report.params, report.values)]
         return "\n".join(lines) + "\n"
     pname = FAMILIES[s.family.name].param_name
     lines = [f"{pname},{s.witness_param.name},value"]
+    grid, cells = None, []
     for b, report in run.reports:
-        for p, v in zip(report.params, report.values):
-            lines.append(f"{fmt(p)},{fmt(b)},{fmt(v)}")
+        if report.params != grid:  # every b of a run shares one grid
+            grid = report.params
+            cells = ["%.15g," % p for p in grid]
+        b_cell = fmt(b) + ","
+        lines += ["%s%.15g" % pv for pv in zip([c + b_cell for c in cells], report.values)]
     return "\n".join(lines) + "\n"
 
 

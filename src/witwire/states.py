@@ -79,22 +79,35 @@ def _check_param(value: float, lo: float, hi: float, name: str) -> float:
     return value
 
 
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
+# the families' constant terms, built once and shared read-only
+_PSI_PLUS = _frozen(projector(bell("psi_plus")))
+_PSI_MINUS = _frozen(projector(bell("psi_minus")))
+_W = _frozen(projector(w_state()))
+_EYE4 = _frozen(np.eye(4, dtype=complex))
+_EYE8 = _frozen(np.eye(8, dtype=complex))
+
+
 def werner_w(w: float) -> np.ndarray:
     """w*I/4 + (1-w)|psi_plus><psi_plus| for w in [0, 1]."""
     w = _check_param(w, 0.0, 1.0, "w")
-    return w * np.eye(4, dtype=complex) / 4.0 + (1.0 - w) * projector(bell("psi_plus"))
+    return w * _EYE4 / 4.0 + (1.0 - w) * _PSI_PLUS
 
 
 def werner_a(a: float) -> np.ndarray:
     """a|psi_minus><psi_minus| + (1-a)*I/4 for a in [0, 1]."""
     a = _check_param(a, 0.0, 1.0, "a")
-    return a * projector(bell("psi_minus")) + (1.0 - a) * np.eye(4, dtype=complex) / 4.0
+    return a * _PSI_MINUS + (1.0 - a) * _EYE4 / 4.0
 
 
 def noisy_w(c: float) -> np.ndarray:
     """(1-c)|W><W| + c*I/8 for c in [0, 1]."""
     c = _check_param(c, 0.0, 1.0, "c")
-    return (1.0 - c) * projector(w_state()) + c * np.eye(8, dtype=complex) / 8.0
+    return (1.0 - c) * _W + c * _EYE8 / 8.0
 
 
 def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
@@ -153,12 +166,12 @@ FAMILIES: dict[str, StateFamily] = {
     "noisy_w": StateFamily("noisy_w", 3, (2, 2, 2), "c", (0.0, 1.0), noisy_w),
 }
 
-# Fixed (parameterless) states addressable by name, as density matrices.
+# Fixed (parameterless) states addressable by name, as read-only density matrices.
 FIXED_STATES: dict[str, tuple[np.ndarray, tuple[int, ...]]] = {
-    "bell_psi_plus": (projector(bell("psi_plus")), (2, 2)),
-    "bell_psi_minus": (projector(bell("psi_minus")), (2, 2)),
-    "bell_phi_plus": (projector(bell("phi_plus")), (2, 2)),
-    "sigma": (sigma_imaginarity(), (2, 2)),
-    "ghz": (projector(ghz()), (2, 2, 2)),
-    "w_state": (projector(w_state()), (2, 2, 2)),
+    "bell_psi_plus": (_PSI_PLUS, (2, 2)),
+    "bell_psi_minus": (_PSI_MINUS, (2, 2)),
+    "bell_phi_plus": (_frozen(projector(bell("phi_plus"))), (2, 2)),
+    "sigma": (_frozen(sigma_imaginarity()), (2, 2)),
+    "ghz": (_frozen(projector(ghz())), (2, 2, 2)),
+    "w_state": (_W, (2, 2, 2)),
 }

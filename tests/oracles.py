@@ -15,6 +15,10 @@ the Kronecker product vectors of a whole chunk and take
 coordinates of the unnormalized local projectors; both read the same
 seeded draws.
 
+The renderer oracles format a scenario run one cell at a time through
+their own 15-significant-digit formatter, where the library formats
+the grid that every b shares once per run.
+
 The sign-change oracle scans a dense grid of direct evaluations and
 bisects each bracketed sign change, where the library takes the roots
 of an interpolating polynomial from a companion matrix.
@@ -23,6 +27,7 @@ Slot convention matches the library: slot 0 is the most significant
 digit of the flat index.
 """
 
+import json
 import math
 
 import numpy as np
@@ -308,3 +313,55 @@ def min_product_expectation_oracle(matrix, dims, samples, seed):
         best = min(best, float(vals.min()))
         remaining -= count
     return best
+
+
+def _fmt15(x):
+    return f"{float(x):.15g}"
+
+
+def run_to_csv_oracle(run):
+    """The scenario CSV table, every cell formatted on its own."""
+    s = run.scenario
+    if run.kind == "point":
+        pv = _fmt15(s.family.value) if s.family.mode == "value" else ""
+        return f"param,value\n{pv},{_fmt15(run.point_value)}\n"
+    if s.witness_param is None:
+        lines = ["param,value"]
+        _, report = run.reports[0]
+        for p, v in zip(report.params, report.values):
+            lines.append(f"{_fmt15(p)},{_fmt15(v)}")
+        return "\n".join(lines) + "\n"
+    lines = [f"{run.reports[0][1].param_name},{s.witness_param.name},value"]
+    for b, report in run.reports:
+        for p, v in zip(report.params, report.values):
+            lines.append(f"{_fmt15(p)},{_fmt15(b)},{_fmt15(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def run_to_json_oracle(run):
+    """The scenario's companion JSON, built field by field."""
+    s = run.scenario
+
+    def rounded(x):
+        return float(_fmt15(x))
+
+    def thresholds(report):
+        return [{"root": rounded(t), "lo": rounded(t), "hi": rounded(t)} for t in report.thresholds]
+
+    obj = {"scenario": s.name, "family": s.family.name, "seed": s.seed}
+    if run.kind == "point":
+        obj["kind"] = "point"
+        obj["value"] = rounded(run.point_value)
+        if s.family.mode == "value":
+            obj["param"] = rounded(s.family.value)
+    elif s.witness_param is None:
+        _, report = run.reports[0]
+        obj.update(kind="sweep", param_name=report.param_name, points=len(report.params))
+        obj["thresholds"] = thresholds(report)
+    else:
+        obj.update(kind="sweep", param_name=run.reports[0][1].param_name, axis=s.witness_param.name)
+        obj["sweeps"] = [
+            {s.witness_param.name: rounded(b), "points": len(r.params), "thresholds": thresholds(r)}
+            for b, r in run.reports
+        ]
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

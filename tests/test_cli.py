@@ -218,6 +218,81 @@ def test_concentrate_rejects_dimension_above_cap(capsys):
     assert "error:" in err and "MAX_DIM" in err
 
 
+def _counting_parser(monkeypatch):
+    """Unbuilt cached parser; returns the list of build_parser calls made from here on."""
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    return calls
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    calls = _counting_parser(monkeypatch)
+    assert cli.main(["ppt", "werner_w"]) == 0
+    assert cli.main(["ppt", "werner_a"]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "threshold 0.666666666666667" in out and "threshold 0.333333333333333" in out
+
+
+def test_a_usage_error_leaves_the_parser_reusable(monkeypatch, capsys):
+    calls = _counting_parser(monkeypatch)
+    assert cli.main(["ppt", "werner_w"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ppt"])  # the family is missing
+    assert exc.value.code == 2
+    assert "required: family" in capsys.readouterr().err
+    assert cli.main(["ppt", "werner_w", "--slots", "0"]) == 0
+    assert "transposed slots [0]" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--help"])
+    assert exc.value.code == 0
+    helped = capsys.readouterr().out
+    assert helped.startswith("usage: witwire sweep") and "--points" in helped
+    assert cli.main(["ppt", "noisy_w"]) == 0
+    assert len(calls) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import witwire.cli as cli\n"
+        "print(len(built), cli._PARSER is None)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(witwire.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True"]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(witwire.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "witwire", "ppt", "werner_w"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "threshold 0.666666666666667" in proc.stdout.splitlines()
+
+
 def _run_reproduce_ex1(command, env, cwd):
     proc = subprocess.run(
         [*command, "reproduce", "ex1"],

@@ -126,6 +126,13 @@ def test_closed_form_argument_handling():
         detection.closed_form("three_copy_cyclic", 0.5, b=2.0)  # b rejected
 
 
+@pytest.mark.parametrize("b", [float("nan"), float("inf"), 0.5])
+def test_pb_w3_cross_rejects_a_b_outside_its_range(b):
+    # NaN fails every comparison, so only a negated bound turns it away
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        detection.closed_form("pb_w3_cross", 0.5, b=b)
+
+
 def test_sweep_finds_the_werner_a_root():
     spec = detection.wiring(
         2, [2, 2], [("P", [(0, 0), (1, 1)]), ("W3", [(0, 1), (1, 0)])]

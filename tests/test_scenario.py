@@ -1,9 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
+from oracles import run_to_csv_oracle, run_to_json_oracle
 
 from witwire import scenario as sc
+from witwire.detection import DetectionReport
 from witwire.reproduce import load_scenario, shipped_scenario_names
 
 
@@ -201,3 +204,39 @@ def test_fmt_is_15_significant_digits():
     assert sc.fmt(1.0 / 3.0) == "0.333333333333333"
     assert sc.fmt(2.0) == "2"
     assert sc.round15(sc.round15(1.0 / 7.0)) == sc.round15(1.0 / 7.0)
+
+
+def _assert_renders_like_the_oracle(run):
+    assert sc.run_to_csv(run) == run_to_csv_oracle(run)
+    assert sc.run_to_json(run) == run_to_json_oracle(run)
+
+
+@pytest.mark.parametrize("name", shipped_scenario_names())
+def test_renderers_match_the_per_cell_oracle(name):
+    scenario = load_scenario(name)
+    overrides = (None, 2, 37) if scenario.family.mode == "grid" else (None,)
+    for points in overrides:
+        _assert_renders_like_the_oracle(sc.run_scenario(scenario, points_override=points))
+
+
+@pytest.mark.parametrize("name", ["ex4_p_w3", "ex4_pb_w3"])
+def test_renderers_match_the_oracle_on_a_zero_width_grid(name):
+    scenario = load_scenario(name)
+    pinned = replace(scenario, family=replace(scenario.family, start=0.5, stop=0.5))
+    run = sc.run_scenario(pinned, points_override=4)
+    assert set(run.reports[0][1].params) == {0.5}
+    _assert_renders_like_the_oracle(run)
+
+
+def test_csv_matches_the_oracle_when_the_grid_changes_between_b_values():
+    # run_scenario gives every b one grid; a hand-built run need not
+    awkward = (-0.0, 1e-300, 123456789012345678.0, 1.0 / 3.0, 2.0)
+    shared = (0.1, 0.2, 0.3, 0.4, 0.5)
+    reports = (
+        (1.0, DetectionReport("a", (0.0, 0.5, 1.0, 0.25, 1.0 / 7.0), awkward, ())),
+        (2.5, DetectionReport("a", shared, awkward[::-1], ())),
+        (1e-20, DetectionReport("a", shared, awkward, ())),
+    )
+    _assert_renders_like_the_oracle(sc.ScenarioRun(load_scenario("ex4_pb_w3"), "sweep", reports=reports))
+    single = ((None, DetectionReport("a", shared, awkward, ())),)
+    _assert_renders_like_the_oracle(sc.ScenarioRun(load_scenario("ex4_p_w3"), "sweep", reports=single))

@@ -137,3 +137,13 @@ def test_fixed_states_table():
     assert "ghz" in states.FIXED_STATES
     assert "sigma" in states.FIXED_STATES
     assert states.FIXED_STATES["bell_psi_plus"][1] == (2, 2)
+
+
+def test_shared_states_are_read_only_and_families_return_fresh_arrays():
+    for rho, _ in states.FIXED_STATES.values():
+        with pytest.raises(ValueError, match="read-only"):
+            rho[0, 0] = 1.0
+    for family in states.FAMILIES.values():
+        rho = family(0.3)
+        rho[0, 0] = 7.0  # the caller owns what a family returns
+        assert family(0.3)[0, 0] != 7.0
