@@ -16,7 +16,6 @@ protocol concentrates partially entangled pure states.
 from .detection import (
     Assignment,
     WiringSpec,
-    assemble,
     closed_form,
     compile_wiring,
     expectation,
@@ -39,7 +38,6 @@ __all__ = [
     "REPRODUCE_IDS",
     "StateFamily",
     "WiringSpec",
-    "assemble",
     "catalog",
     "catalog_names",
     "closed_form",

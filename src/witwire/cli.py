@@ -20,12 +20,10 @@ import numpy as np
 
 from . import concentration as conc
 from .ppt import ppt_threshold
-from .reproduce import REPRODUCE_IDS, reproduce
+from .reproduce import DEFAULT_SEED, REPRODUCE_IDS, reproduce
 from .scenario import fmt, parse_scenario, round15, run_scenario, run_to_csv, run_to_json
 from .states import FAMILIES
 from .witnesses import catalog, catalog_names, validate_witness
-
-DEFAULT_SEED = 20240817
 
 
 def _dump(obj: dict) -> str:

@@ -18,7 +18,7 @@ reshapes to A B^T / sqrt d, so |phi> is Phi = Psi^T and |m>, |M> are
 (Psi^dag)^-1 and (Psi^dag Psi^dag)^-1 over sqrt d; no Kronecker
 product is formed.  With V the reshaped measurement vector, the
 (A, B') amplitudes are Phi conj(V) Phi.  MAX_DIM caps the d^2 x d^2
-output state, so d <= 16.
+output state, so 2 <= d <= 16.
 """
 
 from __future__ import annotations
@@ -144,6 +144,8 @@ def random_schmidt_operator(d: int, rng: np.random.Generator | int) -> np.ndarra
     above 1e2 are rejected so the squared conditioning of the kind-M
     inverse keeps its roundoff far below the 1e-9 gates.
     """
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     while True:

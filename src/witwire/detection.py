@@ -16,12 +16,11 @@ and sweeps the copies right to left, multiplying each copy's block in
 and contracting the copy out at once, so no rho^(x)k, no D x D object
 and no operator on all the placed slots (D_p x D_p, D_p <= D the
 product of the placed dims) is formed unless one witness block needs
-it.  MAX_DIM still caps D_p.  ``assemble`` still gives the dense D x D
-operator of a whole wiring, and MAX_DIM caps what it builds.  A sweep
-needs a family that is affine in its parameter, so that the trace is
-a polynomial of degree at most ``copies``: it evaluates the wiring at
-copies+1 Chebyshev nodes (and at both ends, as a check), reads its grid
-off the interpolant, and its thresholds off the interpolant's roots.
+it.  MAX_DIM still caps D_p.  A sweep needs a family that is affine in
+its parameter, so that the trace is a polynomial of degree at most
+``copies``: it evaluates the wiring at copies+1 Chebyshev nodes (and at
+both ends, as a check), reads its grid off the interpolant, and its
+thresholds off the interpolant's roots.
 """
 
 from __future__ import annotations
@@ -77,10 +76,6 @@ class WiringSpec:
     base_dims: tuple[int, ...]
     assignments: tuple[Assignment, ...]
 
-    @property
-    def full_dims(self) -> list[int]:
-        return list(self.base_dims) * self.copies
-
     def flat_slot(self, copy: int, party: int) -> int:
         n = len(self.base_dims)
         if not 0 <= copy < self.copies:
@@ -132,10 +127,10 @@ def _operator_product(
 ) -> np.ndarray:
     """Product of operators on disjoint slots, built straight into a chosen axis order.
 
-    ``factors`` pairs each matrix with the slots it acts on, in its own
-    slot order.  Slot s has dimension dims[s], and its row and column
-    axes land at positions row_axes[s] and col_axes[s] of the
-    2 * len(dims)-axis result; a slot no factor acts on keeps size-1
+    ``factors``, never empty, pairs each matrix with the slots it acts
+    on, in its own slot order.  Slot s has dimension dims[s], and its
+    row and column axes land at positions row_axes[s] and col_axes[s] of
+    the 2 * len(dims)-axis result; a slot no factor acts on keeps size-1
     axes there, to broadcast against.  Each factor is broadcast over
     the other axes and multiplied in, so no transposed copy of the
     result is ever made.
@@ -152,32 +147,7 @@ def _operator_product(
         tensor = mat.reshape(local * 2).transpose(sorted(range(len(axes)), key=axes.__getitem__))
         tensor = tensor.reshape(shape)
         op = tensor.copy() if op is None else np.multiply(op, tensor, order="C")
-    return np.ones([1] * m, dtype=complex) if op is None else op
-
-
-def assemble(spec: WiringSpec) -> np.ndarray:
-    """Dense operator realizing the wiring on the full copy-major slot space.
-
-    The witnesses act on disjoint slots, so the operator is the product
-    of their tensors, each broadcast over the other slots, times
-    identity on each unassigned slot, multiplied straight into slot
-    order.  The result is a dense D x D matrix, so the full dimension D
-    is capped at MAX_DIM.
-    """
-    spec.validate()
-    full = spec.full_dims
-    total = math.prod(full)
-    if total > MAX_DIM:
-        raise ValueError(f"full dimension {total} exceeds MAX_DIM={MAX_DIM}")
-    n = len(full)
-    factors = []
-    for asg in spec.assignments:
-        flats = [spec.flat_slot(c, p) for c, p in asg.slots]
-        factors.append((asg.resolve([full[f] for f in flats]), flats))
-    placed = {f for _, flats in factors for f in flats}
-    factors += [(np.eye(d, dtype=complex), [f]) for f, d in enumerate(full) if f not in placed]
-    op = _operator_product(factors, full, list(range(n)), list(range(n, 2 * n)))
-    return op.reshape(total, total)
+    return op
 
 
 def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:

@@ -8,14 +8,13 @@ symmetrizing silently, and inversion guarded by a condition estimate.
 
 Everything here is sized for small dense problems; MAX_DIM = 256 caps
 the dense matrices the library builds: the Hermitian eigensolver here
-(so every PPT check) and the concentration output state.  The dense
-k-copy builders, ``multipartite.tensor_power`` and the full wiring
-operator from ``detection.assemble``, are off every evaluation path and
-capped too.  A compiled wiring builds only per-copy witness blocks on
-its placed slots, none larger than the operator on all of them, and
-MAX_DIM caps the product of the placed dims, not the full k-copy
-dimension: a wiring on three copies of a three-qubit state (D = 512)
-evaluates as long as its placed dims multiply to at most 256.
+(so every PPT check) and the concentration output state.  The library
+never forms rho^(x)k or a full k-copy operator.  A compiled wiring
+builds only per-copy witness blocks on its placed slots, none larger
+than the operator on all of them, and MAX_DIM caps the product of the
+placed dims, not the full k-copy dimension: a wiring on three copies of
+a three-qubit state (D = 512) evaluates as long as its placed dims
+multiply to at most 256.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ list ``dims`` of local dimensions, one per slot, whose product equals
 the matrix dimension.  Basis ordering: a product ket |q1 q2 ...> has the
 leftmost label on slot 0, which is the most significant mixed-radix
 digit of the flat index.  That convention is fixed here once and
-everything else (state constructors, wiring assembly, the tests'
-index-loop oracles) relies on it.
+everything else (state constructors, the wiring evaluator's slot
+layout, the tests' index-loop oracles) relies on it.
 
 Permutation convention: ``perm[old] = new`` slot position.  So
 ``perm=[1, 0]`` swaps two slots, and permuting |01> by it gives |10>.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import MAX_DIM, hermiticity_defect, min_eigenvalue
+from .linalg import hermiticity_defect, min_eigenvalue
 
 
 def _as_square(mat: np.ndarray, dims: list[int]) -> np.ndarray:
@@ -37,15 +37,6 @@ def _as_square(mat: np.ndarray, dims: list[int]) -> np.ndarray:
     if any(d < 2 for d in dims):
         raise ValueError(f"every local dimension must be >= 2, got {list(dims)}")
     return mat
-
-
-def permuted_dims(dims: list[int], perm: list[int]) -> list[int]:
-    """Local dimensions after applying ``perm`` (old slot -> new slot)."""
-    n = len(dims)
-    out = [0] * n
-    for old, new in enumerate(perm):
-        out[new] = dims[old]
-    return out
 
 
 def permute_subsystems(mat: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
@@ -133,39 +124,16 @@ def partial_transpose(mat: np.ndarray, dims: list[int], transposed_slots: list[i
     return tensor.transpose(axes).reshape(mat.shape)
 
 
-def tensor_power(mat: np.ndarray, dims: list[int], k: int) -> tuple[np.ndarray, list[int]]:
-    """k-fold Kronecker power, returning the matrix and its slot dims."""
-    mat = _as_square(mat, dims)
-    if k < 1:
-        raise ValueError(f"copy count must be >= 1, got {k}")
-    if mat.shape[0] ** k > MAX_DIM:
-        raise ValueError(
-            f"tensor power dimension {mat.shape[0]}^{k} exceeds MAX_DIM={MAX_DIM}"
-        )
-    out = mat
-    for _ in range(k - 1):
-        out = np.kron(out, mat)
-    return out, list(dims) * k
-
-
-def check_density_matrix(
-    rho: np.ndarray,
-    dims: list[int] | None = None,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-9,
-) -> None:
+def check_density_matrix(rho: np.ndarray, dims: list[int]) -> None:
     """Raise unless ``rho`` is finite, Hermitian, unit-trace, and PSD within tolerance."""
-    rho = np.asarray(rho, dtype=complex)
-    if dims is not None:
-        rho = _as_square(rho, dims)
+    rho = _as_square(rho, dims)
     # negated comparisons, so that NaN and inf entries fail them too
     defect = hermiticity_defect(rho)
-    if not defect <= herm_tol:
+    if not defect <= 1e-10:
         raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
     tr = complex(np.trace(rho))
-    if not abs(tr - 1.0) <= trace_tol:
+    if not abs(tr - 1.0) <= 1e-10:
         raise ValueError(f"density matrix trace {tr} differs from 1")
     low = min_eigenvalue(rho)
-    if not low >= eig_floor:
+    if not low >= -1e-9:
         raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")

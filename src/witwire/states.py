@@ -12,8 +12,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import inverse
-
 
 def projector(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
@@ -111,7 +109,7 @@ def noisy_w(c: float) -> np.ndarray:
 
 
 def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
-    """Psi as a finite square complex array with Tr(Psi^dag Psi) = 1 within 1e-10.
+    """Psi as a finite d x d complex array, d >= 2, with Tr(Psi^dag Psi) = 1 within 1e-10.
 
     Finiteness comes first, so NaN or inf never reaches a product.
     """
@@ -120,23 +118,12 @@ def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
         raise ValueError("Psi has non-finite entries")
     if psi_mat.ndim != 2 or psi_mat.shape[0] != psi_mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {psi_mat.shape}")
+    if psi_mat.shape[0] < 2:
+        raise ValueError(f"local dimension must be >= 2, got {psi_mat.shape[0]}")
     norm2 = float(np.vdot(psi_mat, psi_mat).real)
     if not abs(norm2 - 1.0) <= 1e-10:
         raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within 1e-10")
     return psi_mat
-
-
-def schmidt_state(psi_mat: np.ndarray) -> np.ndarray:
-    """Bipartite pure state (1 (x) Psi)|psi_plus>, normalized.
-
-    Psi must be d x d, finite, full rank, with Tr(Psi^dag Psi) = 1.  In
-    the slot convention (A (x) B)|psi_plus> reshapes to A B^T / sqrt d,
-    so the state is Psi^T read row-major: <ij|phi> = Psi[j, i].
-    """
-    psi_mat = check_schmidt_operator(psi_mat)
-    inverse(psi_mat)  # full-rank / conditioning gate; result unused
-    out = psi_mat.T.reshape(-1)
-    return out / np.linalg.norm(out)
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,6 @@ class StateFamily:
     """
 
     name: str
-    n_parties: int
     dims: tuple[int, ...]
     param_name: str
     param_range: tuple[float, float]
@@ -161,9 +147,9 @@ class StateFamily:
 
 
 FAMILIES: dict[str, StateFamily] = {
-    "werner_w": StateFamily("werner_w", 2, (2, 2), "w", (0.0, 1.0), werner_w),
-    "werner_a": StateFamily("werner_a", 2, (2, 2), "a", (0.0, 1.0), werner_a),
-    "noisy_w": StateFamily("noisy_w", 3, (2, 2, 2), "c", (0.0, 1.0), noisy_w),
+    "werner_w": StateFamily("werner_w", (2, 2), "w", (0.0, 1.0), werner_w),
+    "werner_a": StateFamily("werner_a", (2, 2), "a", (0.0, 1.0), werner_a),
+    "noisy_w": StateFamily("noisy_w", (2, 2, 2), "c", (0.0, 1.0), noisy_w),
 }
 
 # Fixed (parameterless) states addressable by name, as read-only density matrices.

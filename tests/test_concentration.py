@@ -3,11 +3,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import concentration_oracle, measurement_vector_oracles
+from witwire import cli
 from witwire import concentration as conc
-from witwire import states
 from witwire.linalg import dagger
 from witwire.multipartite import check_density_matrix
-from witwire.states import bell, projector, schmidt_state
+from witwire.states import bell, projector
 
 
 def test_measurement_vector_identity_schmidt():
@@ -180,20 +180,33 @@ def test_non_finite_psi_raises_by_name(bad):
         for kind in ("m", "M"):
             with pytest.raises(ValueError, match="non-finite"):
                 call(psi_mat, kind)
-    with pytest.raises(ValueError, match="non-finite"):
-        schmidt_state(psi_mat)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_local_dimension_below_two_is_refused_by_name(d, capsys):
+    message = f"local dimension must be >= 2, got {d}"
+    with pytest.raises(ValueError, match=message):
+        conc.random_schmidt_operator(d, 5)
+    if d >= 0:  # a d x d Psi exists; for d = 1 it even has unit norm
+        psi_mat = np.eye(d, dtype=complex)
+        for call in (conc.concentrate, conc.probability_consistency, conc.measurement_vector):
+            for kind in ("m", "M"):
+                with pytest.raises(ValueError, match=message):
+                    call(psi_mat, kind)
+    for kind in ("m", "M"):
+        assert cli.main(["concentrate", "--d", str(d), "--kind", kind, "--samples", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_concentration_path_never_calls_kron(monkeypatch):
     rng = np.random.default_rng(137)
-    cases = [(d, conc.random_schmidt_operator(d, rng)) for d in (2, 3, 4)]
+    cases = [conc.random_schmidt_operator(d, rng) for d in (2, 3, 4)]
 
     def no_kron(*args, **kwargs):
         raise AssertionError("np.kron on the concentration path")
 
     monkeypatch.setattr(np, "kron", no_kron)
-    for d, psi_mat in cases:
-        assert schmidt_state(psi_mat).shape == (d * d,)
+    for psi_mat in cases:
         for kind in ("m", "M"):
             conc.concentrate(psi_mat, kind)
             conc.probability_consistency(psi_mat, kind)
@@ -210,9 +223,8 @@ def test_each_call_validates_psi_once(monkeypatch):
 
         return wrapper
 
-    for module in (conc, states):
-        monkeypatch.setattr(module, "check_schmidt_operator", counting("check", module.check_schmidt_operator))
-        monkeypatch.setattr(module, "inverse", counting("inverse", module.inverse))
+    monkeypatch.setattr(conc, "check_schmidt_operator", counting("check", conc.check_schmidt_operator))
+    monkeypatch.setattr(conc, "inverse", counting("inverse", conc.inverse))
     psi_mat = conc.random_schmidt_operator(3, 151)
     # kind "M" inverts Psi^dag Psi^dag, and concentrate inverts Psi as |phi>'s gate
     expected = [
@@ -227,9 +239,6 @@ def test_each_call_validates_psi_once(monkeypatch):
         counts.update(check=0, inverse=0)
         call(psi_mat, kind)
         assert counts == {"check": 1, "inverse": inverses}, (call.__name__, kind)
-    counts.update(check=0, inverse=0)
-    schmidt_state(psi_mat)
-    assert counts == {"check": 1, "inverse": 1}
 
 
 def test_ill_conditioned_psi_is_refused_by_every_call():

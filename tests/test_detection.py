@@ -10,26 +10,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import expectation_oracle, sign_change_oracle
-from witwire import detection, multipartite
+from witwire import detection
 from witwire.reproduce import load_scenario
 from witwire.scenario import round15, threshold_dict
 from witwire.states import FAMILIES, FIXED_STATES, StateFamily, bell, projector, werner_a
 from witwire.witnesses import catalog
-
-
-def test_assemble_single_assignment_is_the_witness():
-    spec = detection.wiring(1, [2, 2], [("W", [(0, 0), (0, 1)])])
-    assert np.max(np.abs(detection.assemble(spec) - catalog("W").matrix)) < 1e-14
-
-
-def test_assemble_two_copies_factorizes():
-    # same-party placement is a plain tensor product of the two witnesses
-    spec = detection.wiring(
-        2, [2, 2], [("W", [(0, 0), (0, 1)]), ("V", [(1, 0), (1, 1)])]
-    )
-    w = catalog("W").matrix
-    v = catalog("V").matrix
-    assert np.max(np.abs(detection.assemble(spec) - np.kron(w, v))) < 1e-12
 
 
 def test_wiring_slot_collision_rejected():
@@ -158,7 +143,7 @@ def test_sweep_records_exact_grid_zero():
     def diag_family(t):
         return np.diag([(1.0 - t) / 2.0, t / 2.0, 0.25, 0.25]).astype(complex)
 
-    fam = StateFamily("toy_diag", 2, (2, 2), "t", (0.0, 1.0), diag_family)
+    fam = StateFamily("toy_diag", (2, 2), "t", (0.0, 1.0), diag_family)
     observable = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     spec = detection.wiring(1, [2, 2], [(observable, [(0, 0), (0, 1)])])
     report = detection.sweep(spec, fam, grid_points=3)
@@ -251,7 +236,7 @@ def test_sweep_rejects_non_finite_grid_values():
         scale = 1e200 if t > 0.5 else 1.0
         return scale * np.eye(4, dtype=complex) / 4.0
 
-    fam = StateFamily("toy_blowup", 2, (2, 2), "t", (0.0, 1.0), blowup)
+    fam = StateFamily("toy_blowup", (2, 2), "t", (0.0, 1.0), blowup)
     spec = detection.wiring(2, [2, 2], [("W3", [(0, 1), (1, 0)])])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
         detection.sweep(spec, fam, grid_points=5)
@@ -317,8 +302,6 @@ def test_max_dim_caps_the_placed_slots_not_the_full_dimension():
     assert abs(evaluate(fam(0.4)) - want.real) < 1e-12
     report = detection.sweep(spec, fam, 11)
     assert abs(report.values[-1] - 13.0 / 48.0) < 1e-12
-    with pytest.raises(ValueError, match="MAX_DIM"):
-        detection.assemble(spec)  # the dense D x D operator is still capped
     # three WW1 witnesses place all nine slots: D_p = 512
     full = detection.wiring(3, [2, 2, 2], [("WW1", [(c, 0), (c, 1), (c, 2)]) for c in range(3)])
     with pytest.raises(ValueError, match="MAX_DIM"):
@@ -330,7 +313,6 @@ def test_evaluation_builds_no_kronecker_product_and_no_tensor_power(monkeypatch)
         raise AssertionError("called on the evaluation path")
 
     monkeypatch.setattr(np, "kron", refuse)
-    monkeypatch.setattr(multipartite, "tensor_power", refuse)
     ring = detection.wiring(
         4, [2, 2], [("W1", [(0, 1), (1, 0)]), ("W2", [(1, 1), (2, 0)]),
                     ("W3", [(2, 1), (3, 0)]), ("W4", [(3, 1), (0, 0)])]
@@ -376,9 +358,9 @@ def test_sweep_builds_each_block_once_and_none_per_evaluation(monkeypatch):
     fam = FAMILIES["werner_w"]
     report = detection.sweep(spec, fam, 11)
     assert [slots for _, slots, _, _ in calls] == [[[5, 6], [7, 0]], [[3, 4]], [[1, 2]]]
-    # the dense trace, built after the count (assemble shares the helper)
-    dense = detection.assemble(spec) @ multipartite.tensor_power(fam(0.3), [2, 2], 4)[0]
-    assert abs(report.values[3] - np.trace(dense).real) < 1e-12
+    mats = [catalog(name).matrix for name, _ in RING]
+    want = expectation_oracle(mats, [slots for _, slots in RING], [2, 2], 4, fam(0.3))
+    assert abs(report.values[3] - want.real) < 1e-12
 
 
 def test_four_copy_wiring_with_a_free_slot_matches_the_oracle():
@@ -436,7 +418,7 @@ def test_sweep_of_a_zero_width_range_is_one_evaluation():
 
 
 def test_sweep_rejects_a_family_that_is_not_affine():
-    fam = StateFamily("toy_cos", 2, (2, 2), "t", (0.0, 1.5), lambda t: werner_a(math.cos(t)))
+    fam = StateFamily("toy_cos", (2, 2), "t", (0.0, 1.5), lambda t: werner_a(math.cos(t)))
     spec = detection.wiring(1, [2, 2], [("W3", [(0, 0), (0, 1)])])
     with pytest.raises(ValueError, match="toy_cos is not affine"):
         detection.sweep(spec, fam, grid_points=11)

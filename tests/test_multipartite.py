@@ -39,7 +39,7 @@ def test_permute_identity_and_inverse():
     perm = [2, 0, 1]
     moved = mp.permute_subsystems(a, dims, perm)
     inv = [perm.index(t) for t in range(3)]
-    back = mp.permute_subsystems(moved, mp.permuted_dims(dims, perm), inv)
+    back = mp.permute_subsystems(moved, [dims[i] for i in inv], inv)
     assert np.max(np.abs(back - a)) == 0.0
 
 
@@ -53,9 +53,6 @@ def test_permute_matches_oracle():
         got = mp.permute_subsystems(a, dims, perm)
         want = permute_oracle(a, dims, perm)
         assert np.max(np.abs(got - want)) < 1e-12
-        assert mp.permuted_dims(dims, perm) == [
-            dims[perm.index(t)] for t in range(n)
-        ]
 
 
 def test_embed_single_slot_matches_kron():
@@ -132,23 +129,6 @@ def test_partial_transpose_involution_and_full():
     assert np.max(np.abs(twice - a)) == 0.0
     everything = mp.partial_transpose(a, dims, [0, 1, 2])
     assert np.max(np.abs(everything - a.T)) == 0.0
-
-
-def test_tensor_power():
-    rng = np.random.default_rng(61)
-    rho = random_density(rng, 4)
-    squared, dims = mp.tensor_power(rho, [2, 2], 2)
-    assert dims == [2, 2, 2, 2]
-    assert np.max(np.abs(squared - np.kron(rho, rho))) < 1e-14
-    single, dims1 = mp.tensor_power(rho, [2, 2], 1)
-    assert np.array_equal(single, rho)
-    assert dims1 == [2, 2]
-
-
-def test_tensor_power_respects_max_dim():
-    rho = np.eye(16, dtype=complex) / 16.0
-    with pytest.raises(ValueError):
-        mp.tensor_power(rho, [2, 2, 2, 2], 3)  # 4096 > MAX_DIM
 
 
 def test_check_density_matrix():

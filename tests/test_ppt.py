@@ -73,7 +73,7 @@ def test_threshold_refusals():
         ppt.ppt_threshold(replace(werner_w, param_range=(0.7, 1.0)), [1])
     with pytest.raises(ValueError, match="no positive definite"):
         ppt.ppt_threshold(replace(werner_w, param_range=(0.0, 0.5)), [1])
-    squared = StateFamily("toy_squared", 2, (2, 2), "t", (0.0, 1.0), lambda t: werner_w(t * t))
+    squared = StateFamily("toy_squared", (2, 2), "t", (0.0, 1.0), lambda t: werner_w(t * t))
     with pytest.raises(ValueError, match="toy_squared is not affine"):
         ppt.ppt_threshold(squared, [1])
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import schmidt_state_oracles
 from witwire import states
-from witwire.multipartite import check_density_matrix, partial_trace
+from witwire.multipartite import check_density_matrix
 
 
 def test_bell_psi_plus_any_dimension():
@@ -88,47 +87,6 @@ def test_noisy_w_endpoints():
     clean = states.noisy_w(0.0)
     assert np.max(np.abs(clean - states.projector(states.w_state()))) < 1e-14
     assert np.max(np.abs(states.noisy_w(1.0) - np.eye(8) / 8.0)) < 1e-14
-
-
-def test_schmidt_state_identity_gives_maximally_entangled():
-    for d in [2, 3, 4]:
-        psi_mat = np.eye(d, dtype=complex) / np.sqrt(d)
-        phi = states.schmidt_state(psi_mat)
-        assert np.max(np.abs(phi - states.bell("psi_plus", d))) < 1e-12
-
-
-def test_schmidt_state_random_is_normalized():
-    rng = np.random.default_rng(13)
-    for d in [2, 3, 4]:
-        for _ in range(10):
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            a /= np.sqrt(np.trace(a.conj().T @ a).real)
-            phi = states.schmidt_state(a)
-            assert abs(np.linalg.norm(phi) - 1.0) < 1e-10
-            # the B-side marginal carries Psi Psi^dag transposed weights
-            rho_b = partial_trace(states.projector(phi), [d, d], [0])
-            assert abs(np.trace(rho_b).real - 1.0) < 1e-10
-
-
-def test_schmidt_state_matches_both_kron_constructions():
-    rng = np.random.default_rng(17)
-    for d in [2, 3, 4]:
-        for _ in range(10):
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            a /= np.linalg.norm(a)
-            phi = states.schmidt_state(a)
-            for raw in schmidt_state_oracles(a):
-                # Tr(Psi^dag Psi) = 1 gives the raw vectors norm 1/sqrt d
-                assert np.max(np.abs(phi - raw * np.sqrt(d))) < 1e-12
-
-
-def test_schmidt_state_rejects_bad_input():
-    with pytest.raises(ValueError):
-        states.schmidt_state(np.eye(2, dtype=complex))  # trace 2, not 1
-    singular = np.zeros((2, 2), dtype=complex)
-    singular[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        states.schmidt_state(singular)
 
 
 def test_fixed_states_table():
