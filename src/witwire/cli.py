@@ -30,16 +30,26 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write_report(path: str, obj: dict) -> None:
+    Path(path).write_text(_dump(obj), encoding="utf-8")
+    print(f"report written to {path}")
+
+
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy's generators take non-negative integers only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
     report = reproduce(args.example_id, seed=args.seed)
-    text = _dump(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
         for check in report["checks"]:
             print(("pass" if check["pass"] else "FAIL") + "  " + check["name"])
-        print(f"report written to {args.out}")
+        _write_report(args.out, report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_dump(report))
     return 0 if report["all_pass"] else 1
 
 
@@ -82,17 +92,9 @@ def cmd_ppt(args: argparse.Namespace) -> int:
     print(f"family {family.name}, transposed slots {slots}")
     print(f"threshold {fmt(root)}")
     if args.out:
-        Path(args.out).write_text(
-            _dump(
-                {
-                    "family": family.name,
-                    "transposed_slots": slots,
-                    "threshold": round15(root),
-                }
-            ),
-            encoding="utf-8",
+        _write_report(
+            args.out, {"family": family.name, "transposed_slots": slots, "threshold": round15(root)}
         )
-        print(f"report written to {args.out}")
     return 0
 
 
@@ -107,21 +109,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     )
     print("pass" if report.passed else "FAIL")
     if args.out:
-        Path(args.out).write_text(
-            _dump(
-                {
-                    "name": report.name,
-                    "kind": report.kind,
-                    "min_eigenvalue": round15(report.min_eigenvalue),
-                    "min_product_expectation": round15(report.min_product_expectation),
-                    "samples": report.samples,
-                    "seed": report.seed,
-                    "pass": report.passed,
-                }
-            ),
-            encoding="utf-8",
+        _write_report(
+            args.out,
+            {
+                "name": report.name,
+                "kind": report.kind,
+                "min_eigenvalue": round15(report.min_eigenvalue),
+                "min_product_expectation": round15(report.min_product_expectation),
+                "samples": report.samples,
+                "seed": report.seed,
+                "pass": report.passed,
+            },
         )
-        print(f"report written to {args.out}")
     return 0 if report.passed else 1
 
 
@@ -152,32 +151,23 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
         )
     print("pass" if all_ok else "FAIL")
     if args.out:
-        Path(args.out).write_text(
-            _dump(
-                {
-                    "d": args.d,
-                    "kind": args.kind,
-                    "seed": args.seed,
-                    "samples": rows,
-                    "pass": all_ok,
-                }
-            ),
-            encoding="utf-8",
+        _write_report(
+            args.out,
+            {"d": args.d, "kind": args.kind, "seed": args.seed, "samples": rows, "pass": all_ok},
         )
-        print(f"report written to {args.out}")
     return 0 if all_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="witwire",
-        description="witness wirings: assembly, sweeps, thresholds, PPT, concentration",
+        description="witness wirings: expectation values, sweeps, thresholds, PPT, concentration",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reproduce", help="run one worked example's check table")
     p.add_argument("example_id", choices=REPRODUCE_IDS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_reproduce)
 
@@ -198,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("witness", help="catalog name: " + ", ".join(catalog_names()))
     p.add_argument("--b", type=float, help="tuning parameter for P_b")
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_validate)
 
@@ -206,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2, help="local dimension")
     p.add_argument("--kind", choices=("m", "M"), default="m")
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_concentrate)
 

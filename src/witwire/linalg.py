@@ -5,6 +5,8 @@ native operators (``+``, ``-``, ``*``, ``@``, ``np.kron``, ``np.trace``,
 ``.T``, ``.conj()``).  This module adds the pieces that carry contracts:
 Hermitian eigendecomposition that refuses non-Hermitian input instead of
 symmetrizing silently, and inversion guarded by a condition estimate.
+It also owns the input gates the other modules share: square and
+operator shape, Hermiticity, and the trace and eigenvalue tolerances.
 
 Everything here is sized for small dense problems; MAX_DIM = 256 caps
 the dense matrices the library builds: the Hermitian eigensolver here
@@ -25,8 +27,12 @@ import numpy as np
 
 MAX_DIM = 256
 
-# Hermiticity tolerance for eigendecomposition preconditions.
+# Tolerances of the Hermiticity gate and of unit trace (of rho, or of
+# Psi^dag Psi), and the eigenvalue noise floor: an eigenvalue below
+# -EIG_TOL counts as negative, one above EIG_TOL as positive.
 HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
+EIG_TOL = 1e-9
 
 # Reject inversion above this condition estimate.
 CONDITION_LIMIT = 1e12
@@ -53,19 +59,37 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
+def square(a: np.ndarray) -> np.ndarray:
+    """``a`` as a complex matrix; raise unless it is square."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def check_operator(a: np.ndarray, dims, what: str) -> np.ndarray:
+    """``a`` as a complex matrix; raise unless its shape is (prod(dims), prod(dims))."""
+    a = square(a)
+    n = math.prod(dims)
+    if a.shape[0] != n:
+        raise ValueError(f"{what} has shape {a.shape}, expected {(n, n)} for dims {list(dims)}")
+    return a
+
+
 def check_hermitian(a: np.ndarray, what: str) -> None:
     """Raise ValueError unless ``a`` is finite and Hermitian within HERMITICITY_TOL.
 
-    ``what`` names the matrix in the message.  For outside input: a
-    non-Hermitian operator gives real-looking values that mean nothing.
+    ``what`` names the matrix in the message.  A non-Hermitian operator
+    gives real-looking values that mean nothing; symmetrizing would hide it.
     """
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} has non-finite entries")
     defect = hermiticity_defect(a)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(
-            f"{what} is not Hermitian: max|A - A^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+    if not defect <= HERMITICITY_TOL:  # negated, so a NaN defect fails too
+        detail = (
+            "it has non-finite entries"
+            if not np.isfinite(a).all()
+            else f"max|A - A^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
+        raise ValueError(f"{what} is not Hermitian: {detail}")
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,21 +97,12 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and
     ascending and eigenvectors as columns of a unitary matrix.  Input
-    that is not Hermitian within HERMITICITY_TOL is rejected: a defect
-    that large usually means an operator was assembled wrong, and
-    symmetrizing would bury the bug.  Non-finite input is rejected too.
+    that ``check_hermitian`` refuses is rejected.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = square(a)
     if a.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {a.shape[0]} exceeds MAX_DIM={MAX_DIM}")
-    defect = hermiticity_defect(a)
-    if not defect <= HERMITICITY_TOL:  # negated, so a NaN or inf defect fails too
-        raise ValueError(
-            f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e} "
-            f"exceeds {HERMITICITY_TOL:.0e}"
-        )
+    check_hermitian(a, "matrix")
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -103,9 +118,7 @@ def min_eigenvalue(a: np.ndarray) -> float:
 
 def inverse(a: np.ndarray) -> np.ndarray:
     """Matrix inverse, rejected when the condition estimate is 1e12 or worse."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = square(a)
     cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise ValueError(

@@ -21,19 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import hermiticity_defect, min_eigenvalue
+from .linalg import EIG_TOL, TRACE_TOL, check_hermitian, check_operator, min_eigenvalue
 
 
 def _as_square(mat: np.ndarray, dims: list[int]) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    total = int(np.prod(dims)) if dims else 1
-    if mat.shape[0] != total:
-        raise ValueError(
-            f"matrix dimension {mat.shape[0]} does not match prod(dims)={total} "
-            f"for dims={list(dims)}"
-        )
+    mat = check_operator(mat, dims, "operator")
     if any(d < 2 for d in dims):
         raise ValueError(f"every local dimension must be >= 2, got {list(dims)}")
     return mat
@@ -127,13 +119,10 @@ def partial_transpose(mat: np.ndarray, dims: list[int], transposed_slots: list[i
 def check_density_matrix(rho: np.ndarray, dims: list[int]) -> None:
     """Raise unless ``rho`` is finite, Hermitian, unit-trace, and PSD within tolerance."""
     rho = _as_square(rho, dims)
-    # negated comparisons, so that NaN and inf entries fail them too
-    defect = hermiticity_defect(rho)
-    if not defect <= 1e-10:
-        raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
+    check_hermitian(rho, "density matrix")
     tr = complex(np.trace(rho))
-    if not abs(tr - 1.0) <= 1e-10:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} differs from 1")
     low = min_eigenvalue(rho)
-    if not low >= -1e-9:
+    if not low >= -EIG_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")

@@ -82,6 +82,11 @@ def _point(name: str) -> float:
     return run.point_value
 
 
+def _max_gap(report: detection.DetectionReport, f) -> float:
+    """max |value - f(param)| over a sweep report's grid."""
+    return max(abs(v - f(p)) for p, v in zip(report.params, report.values))
+
+
 def _single_threshold(report: detection.DetectionReport, where: str) -> float:
     if len(report.thresholds) != 1:
         raise ValueError(
@@ -118,14 +123,10 @@ def _ex2(seed: int) -> tuple[list[dict], list[str]]:
     # real symmetric observables cannot see the imaginary part of sigma
     sigma = sigma_imaginarity()
     real_part = sigma.real.astype(complex)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(1000):
-        w_r = rng.standard_normal((4, 4))
-        w_r = (w_r + w_r.T) / 2.0
-        gap = abs(complex(np.trace(w_r @ sigma)) - complex(np.trace(w_r @ real_part)))
-        worst = max(worst, gap)
-    checks.append(_limit("real_witness_equality_max_gap", worst, 1e-10))
+    w_r = np.random.default_rng(seed).standard_normal((1000, 4, 4))
+    w_r = (w_r + w_r.transpose(0, 2, 1)) / 2.0
+    gaps = np.einsum("nij,ji->n", w_r, sigma) - np.einsum("nij,ji->n", w_r, real_part)
+    checks.append(_limit("real_witness_equality_max_gap", float(np.abs(gaps).max()), 1e-10))
     verdict = ppt.ppt_check(real_part, [2, 2], [1])
     checks.append(
         {
@@ -151,10 +152,7 @@ def _ex3(seed: int) -> tuple[list[dict], list[str]]:
         ),
     ]
     family = FAMILIES["werner_w"]
-    gap = max(
-        abs(v - detection.closed_form("three_copy_cyclic", w))
-        for w, v in zip(report.params, report.values)
-    )
+    gap = _max_gap(report, lambda w: detection.closed_form("three_copy_cyclic", w))
     checks.append(_limit("closed_form_max_gap", gap, 1e-8))
     names = ("W1", "W2", "W3")
     single_min = _sweep_min(names, family, 1, (2, 2), [((0, 0), (0, 1))])
@@ -182,10 +180,7 @@ def _ex4(seed: int) -> tuple[list[dict], list[str]]:
     checks = [
         _eq("p_w3_threshold", _single_threshold(report, "ex4_p_w3"), math.sqrt(3.0 / 5.0), 1e-12),
     ]
-    gap = max(
-        abs(v - detection.closed_form("p_w3_cross", a))
-        for a, v in zip(report.params, report.values)
-    )
+    gap = _max_gap(report, lambda a: detection.closed_form("p_w3_cross", a))
     checks.append(_limit("closed_form_max_gap", gap, 1e-8))
 
     run_b = run_scenario(load_scenario("ex4_pb_w3"))
@@ -195,13 +190,12 @@ def _ex4(seed: int) -> tuple[list[dict], list[str]]:
         checks.append(
             _eq(f"pb_threshold_b_{b:g}", _single_threshold(rep, f"ex4_pb_w3 b={b:g}"), expected_root, 1e-12)
         )
-        for a, v in zip(rep.params, rep.values):
-            gap_b = max(gap_b, abs(v - detection.closed_form("pb_w3_cross", a, b=b)))
+        gap_b = max(gap_b, _max_gap(rep, lambda a: detection.closed_form("pb_w3_cross", a, b=b)))
     checks.append(_limit("pb_closed_form_max_gap", gap_b, 1e-8))
 
     single = detection.wiring(1, (2, 2), [("W3", [(0, 0), (0, 1)])])
     rep_w3 = detection.sweep(single, FAMILIES["werner_a"], 101)
-    trace_gap = max(abs(v - (1.0 + a) / 2.0) for a, v in zip(rep_w3.params, rep_w3.values))
+    trace_gap = _max_gap(rep_w3, lambda a: (1.0 + a) / 2.0)
     checks.append(_limit("w3_single_trace_max_gap", trace_gap, 1e-10))
     return checks, []
 
@@ -233,10 +227,7 @@ def _ex5(seed: int) -> tuple[list[dict], list[str]]:
     checks.append(
         _eq("ww1_threshold", _single_threshold(rep_ww1, "ex5_ww1"), 8.0 / 21.0, 1e-12)
     )
-    gap = max(
-        abs(v - detection.closed_form("noisy_w_projector", c))
-        for c, v in zip(rep_ww1.params, rep_ww1.values)
-    )
+    gap = _max_gap(rep_ww1, lambda c: detection.closed_form("noisy_w_projector", c))
     checks.append(_limit("ww1_closed_form_max_gap", gap, 1e-8))
     return checks, notes
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from .detection import Assignment, DetectionReport, WiringSpec, expectation, sweep
 from .states import FAMILIES, FIXED_STATES
+from .witnesses import canonical_name
 
 SCENARIO_VERSION = 1
 
@@ -259,36 +260,37 @@ class ScenarioRun:
 
 
 def _with_witness_param(wiring: WiringSpec, target: str, value: float) -> WiringSpec:
-    replaced = tuple(
-        Assignment(a.witness, a.slots, value) if a.witness == target else a
-        for a in wiring.assignments
-    )
-    if replaced == wiring.assignments:
+    canon = canonical_name(target)
+    hits = [canonical_name(a.witness) == canon for a in wiring.assignments]
+    if not any(hits):
         raise ValueError(f"witness_param targets {target!r} but no assignment uses it")
+    replaced = tuple(
+        Assignment(a.witness, a.slots, value) if hit else a
+        for a, hit in zip(wiring.assignments, hits)
+    )
     return WiringSpec(wiring.copies, wiring.base_dims, replaced)
 
 
 def run_scenario(s: Scenario, points_override: int | None = None) -> ScenarioRun:
+    """Evaluate the scenario: the state's dims must be the wiring's base dims in every mode."""
     fam = s.family
     if fam.mode == "fixed":
         rho, dims = FIXED_STATES[fam.name]
-        if tuple(dims) != tuple(s.wiring.base_dims):
-            raise ValueError(
-                f"state {fam.name} has dims {list(dims)}, wiring expects "
-                f"{list(s.wiring.base_dims)}"
-            )
+    else:
+        family = FAMILIES[fam.name]
+        dims = family.dims
+    if tuple(dims) != tuple(s.wiring.base_dims):
+        raise ValueError(
+            f"state {fam.name} has dims {list(dims)}, wiring expects {list(s.wiring.base_dims)}"
+        )
+    if fam.mode != "grid":
         if s.witness_param is not None:
-            raise ValueError("witness_param over a fixed state is not supported")
+            raise ValueError(f"witness_param needs a parameter grid; state {fam.name} has one point")
         if points_override is not None:
             raise ValueError(f"scenario {s.name!r} has no parameter grid to resize")
+        if fam.mode == "value":
+            rho = family(fam.value)
         return ScenarioRun(s, "point", point_value=expectation(s.wiring, rho))
-    family = FAMILIES[fam.name]
-    if fam.mode == "value":
-        if s.witness_param is not None:
-            raise ValueError("witness_param with a fixed parameter value is not supported")
-        if points_override is not None:
-            raise ValueError(f"scenario {s.name!r} has no parameter grid to resize")
-        return ScenarioRun(s, "point", point_value=expectation(s.wiring, family(fam.value)))
     points = points_override if points_override is not None else fam.points
     lo, hi = fam.start, fam.stop
     flo, fhi = family.param_range

@@ -12,6 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import TRACE_TOL, square
+
 
 def projector(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
@@ -109,20 +111,18 @@ def noisy_w(c: float) -> np.ndarray:
 
 
 def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
-    """Psi as a finite d x d complex array, d >= 2, with Tr(Psi^dag Psi) = 1 within 1e-10.
+    """Psi as a finite d x d complex array, d >= 2, with Tr(Psi^dag Psi) = 1 within TRACE_TOL.
 
-    Finiteness comes first, so NaN or inf never reaches a product.
+    Finiteness comes before any product, so NaN or inf never reaches one.
     """
-    psi_mat = np.asarray(psi_mat, dtype=complex)
+    psi_mat = square(psi_mat)
     if not np.isfinite(psi_mat).all():
         raise ValueError("Psi has non-finite entries")
-    if psi_mat.ndim != 2 or psi_mat.shape[0] != psi_mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {psi_mat.shape}")
     if psi_mat.shape[0] < 2:
         raise ValueError(f"local dimension must be >= 2, got {psi_mat.shape[0]}")
     norm2 = float(np.vdot(psi_mat, psi_mat).real)
-    if not abs(norm2 - 1.0) <= 1e-10:
-        raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within 1e-10")
+    if not abs(norm2 - 1.0) <= TRACE_TOL:
+        raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within {TRACE_TOL:.0e}")
     return psi_mat
 
 

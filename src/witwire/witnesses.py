@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, check_hermitian, hermitian_eig
+from .linalg import EIG_TOL, PAULI_X, PAULI_Y, PAULI_Z, check_hermitian, check_operator, hermitian_eig
 from .multipartite import partial_transpose
 from .states import bell, projector, w_state
 
-EIG_NEG_TOL = -1e-9
 PRODUCT_FLOOR = -1e-9
 
 
@@ -97,6 +96,14 @@ _CANONICAL_NAMES = ("W", "V", "W1", "W2", "W3", "W4", "P", "P_b", "WW1")
 _BY_LOWER = {n.lower(): n for n in _CANONICAL_NAMES}
 
 
+def canonical_name(name: str) -> str:
+    """The catalog's spelling of ``name``, matched case-insensitively after stripping."""
+    canon = _BY_LOWER.get(str(name).strip().lower())
+    if canon is None:
+        raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(_CANONICAL_NAMES)}")
+    return canon
+
+
 def catalog(name: str, b: float | None = None) -> WitnessSpec:
     """Look up a catalog operator by name.
 
@@ -107,9 +114,7 @@ def catalog(name: str, b: float | None = None) -> WitnessSpec:
     never changes which states a witness detects, so nothing downstream
     depends on that factor.
     """
-    canon = _BY_LOWER.get(str(name).strip().lower())
-    if canon is None:
-        raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(_CANONICAL_NAMES)}")
+    canon = canonical_name(name)
     if canon != "P_b":
         if b is not None:
             raise ValueError(f"{canon} takes no parameter, got b={b}")
@@ -212,12 +217,7 @@ def min_product_expectation(
     dims = [int(d) for d in dims]
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be a nonempty list of positive dimensions, got {dims}")
-    matrix = np.asarray(matrix, dtype=complex)
-    want = math.prod(dims)
-    if matrix.shape != (want, want):
-        raise ValueError(
-            f"matrix has shape {matrix.shape}, expected {(want, want)} for dims {dims}"
-        )
+    matrix = check_operator(matrix, dims, "matrix")
     check_hermitian(matrix, "matrix")
     t = _coordinate_tensor(matrix, dims).reshape(-1, dims[-1] ** 2)
     rng = np.random.default_rng(seed)
@@ -242,17 +242,17 @@ def min_product_expectation(
 def validate_witness(spec: WitnessSpec, samples: int, seed: int) -> ValidationReport:
     """Empirical validity check of a catalog entry.
 
-    For kind "witness": requires a negative eigenvalue below -1e-9 and
+    For kind "witness": requires an eigenvalue below -EIG_TOL (-1e-9) and
     a sampled product-state minimum not below -1e-9.  For kind
-    "positive_semidefinite": requires no eigenvalue below -1e-9.
+    "positive_semidefinite": requires no eigenvalue below -EIG_TOL.
     """
     vals, _ = hermitian_eig(spec.matrix)
     low = float(vals[0])
     floor = min_product_expectation(spec.matrix, list(spec.dims), samples, seed)
     if spec.kind == "positive_semidefinite":
-        passed = low >= EIG_NEG_TOL
+        passed = low >= -EIG_TOL
     else:
-        passed = low < EIG_NEG_TOL and floor >= PRODUCT_FLOOR
+        passed = low < -EIG_TOL and floor >= PRODUCT_FLOOR
     return ValidationReport(
         name=spec.name,
         kind=spec.kind,

@@ -164,6 +164,23 @@ def test_ppt_full_transpose_exits_2(capsys):
     assert "threshold" not in captured.out
 
 
+def test_ppt_repeated_slot_exits_2(tmp_path, capsys):
+    target = tmp_path / "ppt.json"
+    code = cli.main(["ppt", "werner_w", "--slots", "1,1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "transposed slots [1, 1] are not distinct ints" in captured.err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [["reproduce", "ex1"], ["validate", "W"], ["concentrate"]])
+def test_negative_seed_is_refused_by_name(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: seed must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
 def test_ppt_unknown_family(capsys):
     code = cli.main(["ppt", "nope"])
     err = capsys.readouterr().err

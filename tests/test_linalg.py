@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from witwire import linalg
+from witwire.multipartite import check_density_matrix
 
 
 def random_hermitian(rng, n):
@@ -51,6 +52,23 @@ def test_hermitian_eig_rejects_non_finite(bad):
     a[0, 0] = bad
     with pytest.raises(ValueError, match="not Hermitian"):
         linalg.hermitian_eig(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "gate",
+    [
+        linalg.hermitian_eig,
+        lambda a: check_density_matrix(a, [2, 2]),
+        lambda a: linalg.check_hermitian(a, "matrix"),
+    ],
+    ids=["hermitian_eig", "check_density_matrix", "check_hermitian"],
+)
+def test_every_hermiticity_gate_names_non_finite_input(gate, bad):
+    a = np.eye(4, dtype=complex) / 4.0
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="not Hermitian: it has non-finite entries"):
+        gate(a)
 
 
 def test_min_eigenvalue_known_values():

@@ -58,6 +58,18 @@ def test_threshold_needs_a_nonempty_proper_slot_subset():
             ppt.ppt_threshold(FAMILIES[name], slots)
 
 
+@pytest.mark.parametrize("slots", [[], [0, 1], [1, 0], [1, 1], [2], [1.0], [True]])
+def test_check_and_threshold_refuse_the_same_slot_lists(slots):
+    # distinct ints forming a nonempty proper subset, for the spectrum, verdict and threshold alike
+    fam = FAMILIES["werner_w"]
+    with pytest.raises(ValueError, match="distinct ints forming a nonempty proper subset"):
+        ppt.ppt_check(fam(0.5), [2, 2], slots)
+    with pytest.raises(ValueError, match="distinct ints forming a nonempty proper subset"):
+        ppt.ppt_threshold(fam, slots)
+    with pytest.raises(ValueError, match="distinct ints forming a nonempty proper subset"):
+        ppt.min_pt_eigenvalue(fam(0.5), [2, 2], slots)
+
+
 def test_threshold_on_a_sub_range_starts_from_its_positive_definite_end():
     # no end is the maximally mixed state; the positive definite end is
     # hi for werner_w and lo for werner_a

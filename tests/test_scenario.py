@@ -168,6 +168,47 @@ def test_witness_param_must_match_an_assignment():
         sc.run_scenario(parsed, points_override=5)
 
 
+@pytest.mark.parametrize("spelling", ["P_b", "p_b", " P_B "])
+def test_witness_param_matches_assignments_by_catalog_name(spelling):
+    raw = json.loads(sc.serialize_scenario(load_scenario("ex4_pb_w3")))
+    raw["witness_param"]["witness"] = spelling
+    run = sc.run_scenario(sc.parse_scenario(json.dumps(raw)), points_override=5)
+    assert [b for b, _ in run.reports] == [1.0, 2.0, 10.0, 100.0]
+
+
+def test_witness_param_targets_an_assignment_that_already_has_its_value():
+    # rewriting P_b's param 2.0 to 2.0 changes nothing, yet P_b is the target
+    raw = json.loads(sc.serialize_scenario(load_scenario("ex4_pb_w3")))
+    for a in raw["wiring"]["assignments"]:
+        if a["witness"] == "P_b":
+            a["param"] = 2.0
+    raw["witness_param"]["values"] = [2.0]
+    run = sc.run_scenario(sc.parse_scenario(json.dumps(raw)), points_override=5)
+    assert [b for b, _ in run.reports] == [2.0]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        {"name": "bell_psi_plus"},
+        {"name": "werner_w", "value": 0.3},
+        {"name": "werner_w", "start": 0.0, "stop": 1.0, "points": 5},
+    ],
+    ids=["fixed", "value", "grid"],
+)
+def test_state_dims_must_match_the_wiring_in_every_mode(family):
+    # a 4 x 4 state fits one 4-level party by shape alone, so only the dims check can tell
+    raw = {
+        "version": 1,
+        "name": "dims_mismatch",
+        "seed": 1,
+        "family": family,
+        "wiring": {"copies": 1, "base_dims": [4], "assignments": [{"witness": "W", "slots": [[0, 0]]}]},
+    }
+    with pytest.raises(ValueError, match=r"has dims \[2, 2\], wiring expects \[4\]"):
+        sc.run_scenario(sc.parse_scenario(json.dumps(raw)))
+
+
 def test_csv_headers_and_shape():
     run = sc.run_scenario(load_scenario("ex4_p_w3"), points_override=5)
     csv = sc.run_to_csv(run)
