@@ -42,6 +42,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _slot(text: str) -> int | str:
+    """One --slots entry as an int, or as given for the PPT slot rule to refuse by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
     report = reproduce(args.example_id, seed=args.seed)
     if args.out:
@@ -87,7 +95,7 @@ def cmd_ppt(args: argparse.Namespace) -> int:
     if args.slots is None:
         slots = [len(family.dims) - 1]
     else:
-        slots = [int(s) for s in args.slots.split(",")]
+        slots = [_slot(s) for s in args.slots.split(",")]
     root = ppt_threshold(family, slots)
     print(f"family {family.name}, transposed slots {slots}")
     print(f"threshold {fmt(root)}")

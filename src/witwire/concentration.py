@@ -23,14 +23,18 @@ output state, so 2 <= d <= 16.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_DIM, dagger, inverse
-from .states import bell, check_schmidt_operator, projector
+from .linalg import MAX_DIM, check_local_dimension, condition_number, dagger, inverse
+from .states import _frozen, bell, check_schmidt_operator
 
 CONDITION_CAP = 1e2
+
+# kind "M"'s target |psi+> for every d the MAX_DIM cap allows, shared read-only
+_PSI_PLUS_BY_DIM = {d: _frozen(bell("psi_plus", d)) for d in range(2, math.isqrt(MAX_DIM) + 1)}
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,8 @@ class ConcentrationResult:
     bookkeeping_ratio: float
 
 
-def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Psi validated, once, with ``measurement_vector``'s vector and norm."""
+def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Psi validated, once, with ``measurement_vector``'s vector."""
     psi_mat = check_schmidt_operator(psi_mat)
     d = psi_mat.shape[0]
     if d**2 > MAX_DIM:
@@ -60,8 +64,7 @@ def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndar
         x = inverse(adj @ adj)
     else:
         raise ValueError(f"measurement kind must be 'm' or 'M', got {kind!r}")
-    vec = x.reshape(-1) / np.sqrt(d)
-    return psi_mat, vec, float(np.linalg.norm(vec))
+    return psi_mat, x.reshape(-1) / math.sqrt(d)
 
 
 def measurement_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
@@ -71,7 +74,8 @@ def measurement_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, floa
     "m" and (Psi^dag Psi^dag)^-1 for kind "M".  The guarded inversion is
     of the matrix actually inverted, so its gates apply to that matrix.
     """
-    return _checked_vector(psi_mat, kind)[1:]
+    vec = _checked_vector(psi_mat, kind)[1]
+    return vec, float(np.linalg.norm(vec))
 
 
 def _outer_amplitudes(phi_mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -82,13 +86,14 @@ def _outer_amplitudes(phi_mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def _raw_weight(psi_mat: np.ndarray, vec: np.ndarray) -> float:
     """Weight of the raw (1 (x) Psi)|psi+> = Psi^T / sqrt d on the raw vector."""
-    raw = _outer_amplitudes(psi_mat.T / np.sqrt(psi_mat.shape[0]), vec)
+    raw = _outer_amplitudes(psi_mat.T / math.sqrt(psi_mat.shape[0]), vec)
     return float(np.vdot(raw, raw).real)
 
 
 def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
     """Run the protocol on two copies of |phi> and report the A,B' state."""
-    psi_mat, vec, norm = _checked_vector(psi_mat, kind)
+    psi_mat, vec = _checked_vector(psi_mat, kind)
+    norm = float(np.linalg.norm(vec))
     d = psi_mat.shape[0]
     if kind == "M":  # kind "m" inverted Psi^dag, whose singular values are Psi's
         inverse(psi_mat)  # |phi>'s full-rank gate: Psi^dag Psi^dag can hide a singular Psi
@@ -100,9 +105,9 @@ def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
     probability = float(np.vdot(out, out).real)
     if probability < 1e-14:
         raise ValueError(f"measurement outcome has probability {probability:.3e}")
-    output = projector(out) / probability
+    output = np.outer(out, out.conj()) / probability
 
-    target = phi if kind == "m" else bell("psi_plus", d)
+    target = phi if kind == "m" else _PSI_PLUS_BY_DIM[d]
     fidelity = float((target.conj() @ output @ target).real)
     raw_weight = _raw_weight(psi_mat, vec)
 
@@ -128,7 +133,7 @@ def probability_consistency(psi_mat: np.ndarray, kind: str) -> tuple[float, floa
     reports, from the same helper; the protocol is not run, so its
     degenerate-vector and zero-probability errors are not raised.
     """
-    psi_mat, vec, _ = _checked_vector(psi_mat, kind)
+    psi_mat, vec = _checked_vector(psi_mat, kind)
     d = psi_mat.shape[0]
     lhs = _raw_weight(psi_mat, vec)
     # target trace: |(1 (x) Psi)|psi+>|^2 = Tr(Psi^dag Psi)/d for "m", 1 for "M"
@@ -144,12 +149,11 @@ def random_schmidt_operator(d: int, rng: np.random.Generator | int) -> np.ndarra
     above 1e2 are rejected so the squared conditioning of the kind-M
     inverse keeps its roundoff far below the 1e-9 gates.
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    check_local_dimension(d)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     while True:
         mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        if np.linalg.cond(mat) > CONDITION_CAP:
+        if condition_number(mat) > CONDITION_CAP:
             continue
         return mat / np.sqrt(np.trace(dagger(mat) @ mat).real)

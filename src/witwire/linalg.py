@@ -5,8 +5,9 @@ native operators (``+``, ``-``, ``*``, ``@``, ``np.kron``, ``np.trace``,
 ``.T``, ``.conj()``).  This module adds the pieces that carry contracts:
 Hermitian eigendecomposition that refuses non-Hermitian input instead of
 symmetrizing silently, and inversion guarded by a condition estimate.
-It also owns the input gates the other modules share: square and
-operator shape, Hermiticity, and the trace and eigenvalue tolerances.
+It also owns the input gates the other modules share: the local
+dimension, square and operator shape, Hermiticity, and the trace and
+eigenvalue tolerances.
 
 Everything here is sized for small dense problems; MAX_DIM = 256 caps
 the dense matrices the library builds: the Hermitian eigensolver here
@@ -56,7 +57,13 @@ def hermiticity_defect(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=complex)
     if not np.isfinite(a).all():
         return math.inf
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(abs(a - a.conj().T).max()) if a.size else 0.0
+
+
+def check_local_dimension(d: int) -> None:
+    """Raise unless ``d`` is at least 2: a tensor slot holds a qubit or more."""
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
 
 
 def square(a: np.ndarray) -> np.ndarray:
@@ -116,18 +123,41 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(vals[0])
 
 
+def condition_number(a: np.ndarray) -> float:
+    """``np.linalg.cond(a)`` of a finite square matrix, without its wrapper.
+
+    The ratio of the extreme singular values, inf when the smallest is 0
+    (``cond``'s NaN -> inf rule, so the zero matrix gives inf too).
+    LAPACK raises ``np.linalg.LinAlgError`` on NaN entries.
+    """
+    s = np.linalg.svd(a, compute_uv=False).tolist()  # float division: an overflow is inf, silently
+    return s[0] / s[-1] if s[-1] else math.inf
+
+
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse, rejected when the condition estimate is 1e12 or worse."""
+    """Matrix inverse, refused for non-finite entries or a condition estimate of 1e12 or worse.
+
+    The estimate is ``condition_number``, the value ``np.linalg.cond``
+    returns.  Non-finite input is named only once the estimate has
+    failed, so finite input pays nothing for that check.
+    """
     a = square(a)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
+    if not a.size:
+        raise ValueError("cannot invert an empty matrix")
+    try:
+        cond = condition_number(a)
+    except np.linalg.LinAlgError:
+        cond = math.nan
+    if not cond < CONDITION_LIMIT:  # negated, so NaN fails too
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has non-finite entries")
         raise ValueError(
             f"matrix is singular or ill-conditioned: condition estimate "
             f"{cond:.3e} (limit {CONDITION_LIMIT:.0e})"
         )
     inv = np.linalg.inv(a)
     n = a.shape[0]
-    residual = np.max(np.abs(a @ inv - np.eye(n)))
-    if residual > 1e-9 * n:
+    residual = abs(a @ inv - np.eye(n)).max()
+    if not residual <= 1e-9 * n:  # negated, so a NaN residual fails too
         raise ValueError(f"inversion residual {residual:.3e} exceeds {1e-9 * n:.3e}")
     return inv

@@ -21,14 +21,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EIG_TOL, TRACE_TOL, check_hermitian, check_operator, min_eigenvalue
+from .linalg import EIG_TOL, TRACE_TOL, check_hermitian, check_local_dimension, check_operator, min_eigenvalue
 
 
 def _as_square(mat: np.ndarray, dims: list[int]) -> np.ndarray:
     mat = check_operator(mat, dims, "operator")
-    if any(d < 2 for d in dims):
-        raise ValueError(f"every local dimension must be >= 2, got {list(dims)}")
+    for d in dims:
+        check_local_dimension(d)
     return mat
+
+
+def _check_slots(slots: list[int], n: int) -> None:
+    """Raise unless the slots are distinct ints in 0..n-1.
+
+    A float slot would name no axis: ``partial_trace`` would trace nothing.
+    """
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in slots):
+        raise ValueError(f"slots {list(slots)} are not all ints")
+    if len(set(slots)) != len(slots):
+        raise ValueError(f"repeated slot in {list(slots)}")
+    if any(not 0 <= s < n for s in slots):
+        raise ValueError(f"slot index out of range in {list(slots)} for {n} slots")
 
 
 def permute_subsystems(mat: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
@@ -60,11 +73,8 @@ def embed(
     n = len(full_dims)
     if len(slots) != len(local_dims):
         raise ValueError(f"{len(slots)} slots for a {len(local_dims)}-slot operator")
-    if len(set(slots)) != len(slots):
-        raise ValueError(f"slot collision in {list(slots)}")
+    _check_slots(slots, n)
     for pos, s in enumerate(slots):
-        if not 0 <= s < n:
-            raise ValueError(f"slot index {s} out of range for {n} slots")
         if full_dims[s] != local_dims[pos]:
             raise ValueError(
                 f"dimension mismatch at slot {s}: operator factor has dim "
@@ -83,11 +93,8 @@ def partial_trace(mat: np.ndarray, dims: list[int], traced_slots: list[int]) -> 
     """Trace out the named slots, keeping the rest in their original order."""
     mat = _as_square(mat, dims)
     n = len(dims)
-    traced = sorted(set(traced_slots))
-    if len(traced) != len(traced_slots):
-        raise ValueError(f"repeated slot in {list(traced_slots)}")
-    if any(not 0 <= s < n for s in traced):
-        raise ValueError(f"slot index out of range in {list(traced_slots)}")
+    _check_slots(traced_slots, n)
+    traced = sorted(traced_slots)
     if len(traced) == n:
         raise ValueError("tracing every slot; use the scalar trace instead")
     keep = [i for i in range(n) if i not in traced]
@@ -104,14 +111,10 @@ def partial_transpose(mat: np.ndarray, dims: list[int], transposed_slots: list[i
     """Transpose the named slots in place; the full-slot case is plain transpose."""
     mat = _as_square(mat, dims)
     n = len(dims)
-    slots = set(transposed_slots)
-    if len(slots) != len(transposed_slots):
-        raise ValueError(f"repeated slot in {list(transposed_slots)}")
-    if any(not 0 <= s < n for s in slots):
-        raise ValueError(f"slot index out of range in {list(transposed_slots)}")
+    _check_slots(transposed_slots, n)
     tensor = mat.reshape(list(dims) + list(dims))
     axes = list(range(2 * n))
-    for s in slots:
+    for s in transposed_slots:
         axes[s], axes[n + s] = axes[n + s], axes[s]
     return tensor.transpose(axes).reshape(mat.shape)
 

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import TRACE_TOL, square
+from .linalg import TRACE_TOL, check_local_dimension, square
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -27,8 +27,7 @@ def bell(which: str, d: int = 2) -> np.ndarray:
     phi_plus are the familiar qubit states (|00>-|11>)/sqrt2 and
     (|01>+|10>)/sqrt2 and exist here only for d=2.
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    check_local_dimension(d)
     if which == "psi_plus":
         v = np.zeros(d * d, dtype=complex)
         for i in range(d):
@@ -118,8 +117,7 @@ def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
     psi_mat = square(psi_mat)
     if not np.isfinite(psi_mat).all():
         raise ValueError("Psi has non-finite entries")
-    if psi_mat.shape[0] < 2:
-        raise ValueError(f"local dimension must be >= 2, got {psi_mat.shape[0]}")
+    check_local_dimension(psi_mat.shape[0])
     norm2 = float(np.vdot(psi_mat, psi_mat).real)
     if not abs(norm2 - 1.0) <= TRACE_TOL:
         raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within {TRACE_TOL:.0e}")

@@ -173,6 +173,18 @@ def test_ppt_repeated_slot_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("text, shown", [("1.5", "['1.5']"), ("", "['']"), ("1,x", "[1, 'x']")])
+def test_ppt_non_integer_slots_exit_2_with_the_slot_rule(text, shown, capsys):
+    code = cli.main(["ppt", "werner_w", "--slots", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: transposed slots {shown} are not distinct ints forming a nonempty "
+        "proper subset of the parties 0..1\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["reproduce", "ex1"], ["validate", "W"], ["concentrate"]])
 def test_negative_seed_is_refused_by_name(argv, capsys):
     with pytest.raises(SystemExit) as exc:

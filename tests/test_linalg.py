@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from witwire import linalg
 from witwire.multipartite import check_density_matrix
@@ -91,6 +92,67 @@ def test_inverse_rejects_singular():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(ValueError):
         linalg.inverse(singular)
+
+
+def test_inverse_refuses_the_zero_and_the_empty_matrix():
+    with pytest.raises(ValueError, match="condition estimate inf"):
+        linalg.inverse(np.zeros((3, 3), dtype=complex))
+    with pytest.raises(ValueError, match="empty matrix"):
+        linalg.inverse(np.zeros((0, 0), dtype=complex))
+
+
+def test_inverse_refuses_an_inverse_that_overflowed():
+    # well conditioned (cond 1), but 1/a overflows and the residual is NaN
+    with pytest.raises(ValueError, match="inversion residual nan"):
+        linalg.inverse(np.array([[2.22507386e-313j]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_inverse_names_non_finite_entries(n, bad):
+    a = np.eye(n, dtype=complex)
+    a[0, n - 1] = bad
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        linalg.inverse(a)
+
+
+@st.composite
+def small_square_matrices(draw):
+    """Random, rank-deficient or all-zero d x d complex matrices, d <= 4."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "rank_deficient", "zero"] if d > 1 else ["random", "zero"]))
+    if kind == "zero":
+        return np.zeros((d, d), dtype=complex)
+    parts = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+    def block(rows, cols):
+        re = draw(st.lists(parts, min_size=rows * cols, max_size=rows * cols))
+        im = draw(st.lists(parts, min_size=rows * cols, max_size=rows * cols))
+        return (np.array(re) + 1j * np.array(im)).reshape(rows, cols)
+
+    if kind == "random":
+        return block(d, d)
+    rank = draw(st.integers(0, d - 1))
+    return block(d, rank) @ block(rank, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_square_matrices())
+@example(np.array([[0.0, 8j], [4.19761955e-308j, 0.0]]))  # the ratio overflows to inf
+def test_inverse_gates_on_exactly_np_linalg_cond(a):
+    ratio = linalg.condition_number(a)
+    cond = np.linalg.cond(a)
+    assert ratio == cond or (np.isinf(ratio) and np.isinf(cond))
+    if not cond < linalg.CONDITION_LIMIT:
+        with pytest.raises(ValueError, match="singular or ill-conditioned"):
+            linalg.inverse(a)
+        return
+    try:
+        inv = linalg.inverse(a)
+    except ValueError as exc:  # past the condition gate only the residual gate remains
+        assert "inversion residual" in str(exc)
+    else:
+        assert np.array_equal(inv, np.linalg.inv(a))
 
 
 def test_pauli_matrices():

@@ -152,3 +152,44 @@ def test_check_density_matrix_rejects_non_finite():
         rho[0, 0] = bad
         with pytest.raises(ValueError):
             mp.check_density_matrix(rho, [2, 2])
+
+
+# a 2x2 operator on dims [2, 1]: one slot holds less than a qubit
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda m: mp.permute_subsystems(m, [2, 1], [1, 0]),
+        lambda m: mp.embed(m, [2, 1], [0, 1], [2, 1]),
+        lambda m: mp.partial_trace(m, [2, 1], [1]),
+        lambda m: mp.partial_transpose(m, [2, 1], [1]),
+        lambda m: mp.check_density_matrix(m, [2, 1]),
+    ],
+    ids=["permute_subsystems", "embed", "partial_trace", "partial_transpose", "check_density_matrix"],
+)
+def test_every_entry_point_refuses_a_unit_dimension_with_the_shared_message(entry):
+    with pytest.raises(ValueError, match="^local dimension must be >= 2, got 1$"):
+        entry(np.eye(2, dtype=complex) / 2.0)
+
+
+@pytest.mark.parametrize(
+    "slots, message",
+    [
+        ([0, 0], r"^repeated slot in \[0, 0\]$"),
+        ([2], r"^slot index out of range in \[2\] for 2 slots$"),
+        ([-1], r"^slot index out of range in \[-1\] for 2 slots$"),
+        ([1.0], r"^slots \[1.0\] are not all ints$"),
+        ([True], r"^slots \[True\] are not all ints$"),
+    ],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s: mp.embed(np.eye(2 ** len(s), dtype=complex), [2] * len(s), s, [2, 2]),
+        lambda s: mp.partial_trace(np.eye(4, dtype=complex), [2, 2], s),
+        lambda s: mp.partial_transpose(np.eye(4, dtype=complex), [2, 2], s),
+    ],
+    ids=["embed", "partial_trace", "partial_transpose"],
+)
+def test_every_slot_entry_point_refuses_with_the_shared_message(entry, slots, message):
+    with pytest.raises(ValueError, match=message):
+        entry(slots)

@@ -46,3 +46,24 @@ def test_floor_is_the_per_point_grid_minimum(check):
     )
     value = next(c["value"] for c in reproduce(example_id)["checks"] if c["name"] == check)
     assert abs(value - direct) <= 1e-12
+
+
+# float.hex of every numeric check at the default seed, recorded while the
+# guarded inverse gated on np.linalg.cond itself; its singular-value ratio
+# must give the same bits
+CONCENTRATION_VALUES = {
+    "fidelity_max_gap_d2_m": "0x1.8000000000001p-51",
+    "fidelity_max_gap_d2_M": "0x1.0000000000004p-51",
+    "fidelity_max_gap_d3_m": "0x1.0000000000004p-51",
+    "fidelity_max_gap_d3_M": "0x1.0000000000004p-51",
+    "fidelity_max_gap_d4_m": "0x1.0000000000004p-51",
+    "fidelity_max_gap_d4_M": "0x1.ffffffffffff4p-53",
+    "bookkeeping_max_delta": "0x1.b7fffffffffffp-49",
+}
+
+
+def test_concentration_checks_keep_their_recorded_bits():
+    report = reproduce("concentration")
+    values = {c["name"]: c["value"].hex() for c in report["checks"] if isinstance(c["value"], float)}
+    assert values == CONCENTRATION_VALUES
+    assert report["all_pass"]

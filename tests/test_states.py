@@ -105,3 +105,14 @@ def test_shared_states_are_read_only_and_families_return_fresh_arrays():
         rho = family(0.3)
         rho[0, 0] = 7.0  # the caller owns what a family returns
         assert family(0.3)[0, 0] != 7.0
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize(
+    "entry",
+    [lambda d: states.bell("psi_plus", d), lambda d: states.check_schmidt_operator(np.eye(d))],
+    ids=["bell", "check_schmidt_operator"],
+)
+def test_local_dimension_rule_has_one_message(entry, d):
+    with pytest.raises(ValueError, match=f"^local dimension must be >= 2, got {d}$"):
+        entry(d)
