@@ -6,11 +6,12 @@ witness blocks and an evaluator that sweeps the copies from last to
 first, multiplying each witness in at the last copy it touches and
 contracting each copy with rho reduced onto it as soon as no block
 still needs it, without forming rho^(x)k.
-Along the noise parameter of an affine family that trace is a
-polynomial of degree k, so a sweep evaluates it at k+1 points and
-takes its sign changes from the roots of that polynomial.  PPT gives
-the independent entanglement verdict, and a two-copy measurement
-protocol concentrates partially entangled pure states.
+Every state family is affine in its noise parameter, by construction,
+so along it that trace is a polynomial of degree k: a sweep evaluates
+it at k+1 points and takes its sign changes from the roots of that
+polynomial.  PPT gives the independent entanglement verdict, and a
+two-copy measurement protocol concentrates partially entangled pure
+states.
 """
 
 from .detection import (

@@ -142,8 +142,8 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
         psi = conc.random_schmidt_operator(args.d, rng)
         res = conc.concentrate(psi, args.kind)
         ok = (
-            abs(res.fidelity_with_target - 1.0) <= 1e-9
-            and 0.0 < res.probability <= 1.0 + 1e-12
+            abs(res.fidelity_with_target - 1.0) <= conc.FIDELITY_TOL
+            and 0.0 < res.probability <= 1.0 + conc.PROBABILITY_SLACK
         )
         all_ok = all_ok and ok
         rows.append(

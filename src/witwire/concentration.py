@@ -33,6 +33,11 @@ from .states import _frozen, bell, check_schmidt_operator
 
 CONDITION_CAP = 1e2
 
+# the pass rule of a concentration run: fidelity within FIDELITY_TOL of 1
+# and probability in (0, 1 + PROBABILITY_SLACK]
+FIDELITY_TOL = 1e-9
+PROBABILITY_SLACK = 1e-12
+
 # kind "M"'s target |psi+> for every d the MAX_DIM cap allows, shared read-only
 _PSI_PLUS_BY_DIM = {d: _frozen(bell("psi_plus", d)) for d in range(2, math.isqrt(MAX_DIM) + 1)}
 

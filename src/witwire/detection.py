@@ -16,11 +16,11 @@ and sweeps the copies right to left, multiplying each copy's block in
 and contracting the copy out at once, so no rho^(x)k, no D x D object
 and no operator on all the placed slots (D_p x D_p, D_p <= D the
 product of the placed dims) is formed unless one witness block needs
-it.  MAX_DIM still caps D_p.  A sweep needs a family that is affine in
-its parameter, so that the trace is a polynomial of degree at most
-``copies``: it evaluates the wiring at copies+1 Chebyshev nodes (and at
-both ends, as a check), reads its grid off the interpolant, and its
-thresholds off the interpolant's roots.
+it.  MAX_DIM still caps D_p.  Every state family is affine in its
+parameter, so along it the trace is a polynomial of degree at most
+``copies``: a sweep evaluates the wiring at copies+1 Chebyshev nodes,
+reads its grid off the interpolant, and its thresholds off the
+interpolant's roots.
 """
 
 from __future__ import annotations
@@ -408,17 +408,15 @@ def _sign_changes(
 def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> DetectionReport:
     """Evaluate the wiring on a uniform parameter grid and locate its sign changes.
 
-    The family must be affine in its parameter, as every shipped family
-    is: then Tr(Wiring rho(p)^(x)k) is a polynomial of degree at most
-    k = ``spec.copies`` in p, evaluated once at each of k+1 Chebyshev
-    nodes and at both ends.  An end value it misses by more than
-    floor = 1e-12 * (1 + max|node value|) shows the family is not affine
-    and raises, as the evaluator does on a non-finite value.  The grid is
-    read off the polynomial; a zero-width range takes one direct
-    evaluation, and a range too narrow for k+1 distinct nodes raises.
-    The thresholds are its real roots of odd multiplicity in the range,
-    from ``_sign_changes`` with that floor, so a tangent zero is not one
-    and ``grid_points`` does not change them.
+    Every family is affine in its parameter, so Tr(Wiring rho(p)^(x)k)
+    is a polynomial of degree at most k = ``spec.copies`` in p, evaluated
+    once at each of k+1 Chebyshev nodes; a non-finite value raises, as in
+    the evaluator.  The grid is read off the polynomial; a zero-width
+    range takes one direct evaluation, and a range too narrow for k+1
+    distinct nodes raises.  The thresholds are its real roots of odd
+    multiplicity in the range, from ``_sign_changes`` with the floor
+    1e-12 * (1 + max|node value|), so a tangent zero is not one and
+    ``grid_points`` does not change them.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -437,13 +435,6 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
             lambda p: evaluate(family(p)), lo, hi, spec.copies
         )
         floor = 1e-12 * (1.0 + scale)
-        for end in (lo, hi):
-            miss = abs(_newton_value(nodes, coeffs, end)[0] - evaluate(family(end)))
-            if miss > floor:
-                raise ValueError(
-                    f"family {family.name} is not affine in {family.param_name}: the degree-"
-                    f"{spec.copies} interpolant misses the value at {end!r} by {miss:.3e}"
-                )
         values = _newton_value(nodes, coeffs, params)[0].tolist()
         roots = _sign_changes(nodes, coeffs, lo, hi, floor)
     return DetectionReport(
@@ -456,7 +447,7 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
 
 def ordering_matrix(
     witness_names: Sequence[str],
-    state: StateFamily | np.ndarray,
+    family: StateFamily,
     param: float | None,
     copies: int,
     base_dims: Sequence[int],
@@ -469,14 +460,9 @@ def ordering_matrix(
     evaluated for every ordering.  Keys of the returned table are
     (witness_combo, ordering_label).
     """
-    if isinstance(state, StateFamily):
-        if param is None:
-            raise ValueError(f"family {state.name} needs a parameter value")
-        rho = state(param)
-    else:
-        if param is not None:
-            raise ValueError("param given with an explicit state matrix")
-        rho = np.asarray(state, dtype=complex)
+    if param is None:
+        raise ValueError(f"family {family.name} needs a parameter value")
+    rho = family(param)
     table: dict[tuple, float] = {}
     for label, groups in orderings.items():
         slot_groups = [tuple((int(c), int(p)) for c, p in g) for g in groups]

@@ -4,7 +4,7 @@ Each id loads its shipped scenario files, evaluates them, and grades
 the results against fixed expected values at fixed tolerances.  Every
 check along a family (a closed-form gap, a floor over all placements of
 some witnesses) is read off ``detection.sweep`` reports, so each wiring
-is compiled once and evaluated at copies+3 points, whatever the grid.
+is compiled once and evaluated at copies+1 points, whatever the grid.
 The report is a plain dict ready for JSON serialization; every numeric
 value in it is rounded to 15 significant digits so repeated runs with
 the same seed emit identical bytes.
@@ -23,22 +23,10 @@ from . import detection, ppt
 from .scenario import Scenario, parse_scenario, round15, run_scenario
 from .states import FAMILIES, sigma_imaginarity
 
-REPRODUCE_IDS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ghz", "concentration")
-
 DEFAULT_SEED = 20240817
 
 # random Schmidt operators drawn per (d, kind) cell of the concentration table
 CONCENTRATION_SAMPLES = 100
-
-SCENARIOS_BY_ID: dict[str, tuple[str, ...]] = {
-    "ex1": ("ex1_w_single", "ex1_v_single", "ex1_cross"),
-    "ex2": ("ex2_w_single", "ex2_v_single", "ex2_same_party", "ex2_cross"),
-    "ex3": ("ex3_cyclic",),
-    "ex4": ("ex4_p_w3", "ex4_pb_w3"),
-    "ex5": ("ex5_cross", "ex5_ww1"),
-    "ghz": ("ghz_same_party", "ghz_cyclic", "ghz_same_party_heavy"),
-    "concentration": (),
-}
 
 
 def load_scenario(name: str) -> Scenario:
@@ -259,10 +247,10 @@ def _concentration(seed: int) -> tuple[list[dict], list[str]]:
                 psi = conc.random_schmidt_operator(d, rng)
                 res = conc.concentrate(psi, kind)
                 worst_fid = max(worst_fid, abs(res.fidelity_with_target - 1.0))
-                prob_ok = prob_ok and 0.0 < res.probability <= 1.0 + 1e-12
+                prob_ok = prob_ok and 0.0 < res.probability <= 1.0 + conc.PROBABILITY_SLACK
                 _, _, delta = conc.probability_consistency(psi, kind)
                 worst_delta = max(worst_delta, delta)
-            checks.append(_limit(f"fidelity_max_gap_d{d}_{kind}", worst_fid, 1e-9))
+            checks.append(_limit(f"fidelity_max_gap_d{d}_{kind}", worst_fid, conc.FIDELITY_TOL))
             checks.append(
                 {
                     "name": f"probability_in_unit_interval_d{d}_{kind}",
@@ -283,6 +271,8 @@ _RUNNERS = {
     "ghz": _ghz,
     "concentration": _concentration,
 }
+
+REPRODUCE_IDS = tuple(_RUNNERS)
 
 
 def reproduce(example_id: str, seed: int = DEFAULT_SEED) -> dict:

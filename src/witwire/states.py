@@ -8,11 +8,10 @@ label = slot 0 = most significant index).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .linalg import TRACE_TOL, check_local_dimension, square
+from .linalg import TRACE_TOL, check_local_dimension, check_operator, square
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -71,42 +70,17 @@ def sigma_imaginarity() -> np.ndarray:
     return s
 
 
-def _check_param(value: float, lo: float, hi: float, name: str) -> float:
-    value = float(value)
-    if not lo <= value <= hi:
-        raise ValueError(f"parameter {name}={value} outside [{lo}, {hi}]")
-    return value
-
-
 def _frozen(mat: np.ndarray) -> np.ndarray:
     mat.flags.writeable = False
     return mat
 
 
-# the families' constant terms, built once and shared read-only
+# built once and read-only; the families take copies of these as their ends
 _PSI_PLUS = _frozen(projector(bell("psi_plus")))
 _PSI_MINUS = _frozen(projector(bell("psi_minus")))
 _W = _frozen(projector(w_state()))
-_EYE4 = _frozen(np.eye(4, dtype=complex))
-_EYE8 = _frozen(np.eye(8, dtype=complex))
-
-
-def werner_w(w: float) -> np.ndarray:
-    """w*I/4 + (1-w)|psi_plus><psi_plus| for w in [0, 1]."""
-    w = _check_param(w, 0.0, 1.0, "w")
-    return w * _EYE4 / 4.0 + (1.0 - w) * _PSI_PLUS
-
-
-def werner_a(a: float) -> np.ndarray:
-    """a|psi_minus><psi_minus| + (1-a)*I/4 for a in [0, 1]."""
-    a = _check_param(a, 0.0, 1.0, "a")
-    return a * _PSI_MINUS + (1.0 - a) * _EYE4 / 4.0
-
-
-def noisy_w(c: float) -> np.ndarray:
-    """(1-c)|W><W| + c*I/8 for c in [0, 1]."""
-    c = _check_param(c, 0.0, 1.0, "c")
-    return (1.0 - c) * _W + c * _EYE8 / 8.0
+_MIXED4 = _frozen(np.eye(4, dtype=complex) / 4.0)
+_MIXED8 = _frozen(np.eye(8, dtype=complex) / 8.0)
 
 
 def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
@@ -126,28 +100,42 @@ def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A named one-parameter family of density matrices.
+    """A named one-parameter family of density matrices, affine by construction.
 
-    ``detection.sweep`` needs the generator to be affine in its
-    parameter, rho(p) = rho0 + p * Delta, as every shipped family is:
-    it evaluates a k-copy wiring at k+1 points only, and raises when
-    the end values show the family is not affine.
+    ``ends`` holds rho(0) and rho(1); the family is
+    rho(p) = p * rho(1) + (1 - p) * rho(0) for p in [0, 1], and
+    ``param_range`` is the sub-range that sweeps and PPT thresholds
+    cover.  Being affine is what lets ``detection.sweep`` read a k-copy
+    wiring off k+1 evaluations and ``ppt.ppt_threshold`` take its root
+    from one eigenproblem on the two ends.  Each end must have shape
+    (prod(dims), prod(dims)); both are kept as read-only copies.
     """
 
     name: str
     dims: tuple[int, ...]
     param_name: str
     param_range: tuple[float, float]
-    generator: Callable[[float], np.ndarray] = field(repr=False)
+    ends: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # each end must be an operator on dims, or p * rho1 + (1 - p) * rho0 would broadcast
+        rho0, rho1 = (
+            check_operator(end, self.dims, f"family {self.name} end").copy() for end in self.ends
+        )
+        object.__setattr__(self, "ends", (_frozen(rho0), _frozen(rho1)))
 
     def __call__(self, value: float) -> np.ndarray:
-        return self.generator(value)
+        value = float(value)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"parameter {self.param_name}={value} outside [0.0, 1.0]")
+        rho0, rho1 = self.ends
+        return value * rho1 + (1.0 - value) * rho0
 
 
 FAMILIES: dict[str, StateFamily] = {
-    "werner_w": StateFamily("werner_w", (2, 2), "w", (0.0, 1.0), werner_w),
-    "werner_a": StateFamily("werner_a", (2, 2), "a", (0.0, 1.0), werner_a),
-    "noisy_w": StateFamily("noisy_w", (2, 2, 2), "c", (0.0, 1.0), noisy_w),
+    "werner_w": StateFamily("werner_w", (2, 2), "w", (0.0, 1.0), (_PSI_PLUS, _MIXED4)),
+    "werner_a": StateFamily("werner_a", (2, 2), "a", (0.0, 1.0), (_MIXED4, _PSI_MINUS)),
+    "noisy_w": StateFamily("noisy_w", (2, 2, 2), "c", (0.0, 1.0), (_W, _MIXED8)),
 }
 
 # Fixed (parameterless) states addressable by name, as read-only density matrices.

@@ -23,6 +23,10 @@ The sign-change oracle scans a dense grid of direct evaluations and
 bisects each bracketed sign change, where the library takes the roots
 of an interpolating polynomial from a companion matrix.
 
+The family oracles write each noise family out as its textbook
+formula, from its own state vectors, where the library mixes the two
+stored ends of the family.
+
 Slot convention matches the library: slot 0 is the most significant
 digit of the flat index.
 """
@@ -227,6 +231,34 @@ def concentration_oracle(psi_mat, kind):
     rho2_raw = np.kron(np.outer(phi_raw, phi_raw.conj()), np.outer(phi_raw, phi_raw.conj()))
     raw_weight = np.trace(meas @ rho2_raw).real
     return output, probability, fidelity, raw_weight
+
+
+def _pure(*amplitudes):
+    v = np.array(amplitudes, dtype=complex)
+    v /= np.sqrt(np.vdot(v, v).real)
+    return np.outer(v, v.conj())
+
+
+def werner_w_oracle(w):
+    """w I/4 + (1-w)|psi+><psi+|, psi+ = (|00> + |11>)/sqrt2."""
+    return w * np.eye(4, dtype=complex) / 4.0 + (1.0 - w) * _pure(1, 0, 0, 1)
+
+
+def werner_a_oracle(a):
+    """a|psi-><psi-| + (1-a) I/4, psi- = (|00> - |11>)/sqrt2."""
+    return a * _pure(1, 0, 0, -1) + (1.0 - a) * np.eye(4, dtype=complex) / 4.0
+
+
+def noisy_w_oracle(c):
+    """(1-c)|W><W| + c I/8, W = (|001> + |010> + |100>)/sqrt3."""
+    return (1.0 - c) * _pure(0, 1, 1, 0, 1, 0, 0, 0) + c * np.eye(8, dtype=complex) / 8.0
+
+
+FAMILY_ORACLES = {
+    "werner_w": werner_w_oracle,
+    "werner_a": werner_a_oracle,
+    "noisy_w": noisy_w_oracle,
+}
 
 
 def bisect_sign_change(f, lo, hi, tol=1e-12):

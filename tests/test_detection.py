@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import expectation_oracle, sign_change_oracle
 from witwire import detection
-from witwire.reproduce import load_scenario
-from witwire.scenario import round15, threshold_dict
-from witwire.states import FAMILIES, FIXED_STATES, StateFamily, bell, projector, werner_a
+from witwire.reproduce import load_scenario, shipped_scenario_names
+from witwire.scenario import _with_witness_param, round15, threshold_dict
+from witwire.states import FAMILIES, FIXED_STATES, StateFamily
 from witwire.witnesses import catalog
 
 
@@ -140,10 +140,8 @@ def test_sweep_without_sign_change_reports_nothing():
 def test_sweep_records_exact_grid_zero():
     # every number here is a dyadic rational, so the grid node at t=0.5
     # evaluates to exactly 0.0, and the root is exactly 0.5
-    def diag_family(t):
-        return np.diag([(1.0 - t) / 2.0, t / 2.0, 0.25, 0.25]).astype(complex)
-
-    fam = StateFamily("toy_diag", (2, 2), "t", (0.0, 1.0), diag_family)
+    ends = (np.diag([0.5, 0.0, 0.25, 0.25]), np.diag([0.0, 0.5, 0.25, 0.25]))
+    fam = StateFamily("toy_diag", (2, 2), "t", (0.0, 1.0), ends)
     observable = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     spec = detection.wiring(1, [2, 2], [(observable, [(0, 0), (0, 1)])])
     report = detection.sweep(spec, fam, grid_points=3)
@@ -194,13 +192,6 @@ def test_ordering_matrix_covers_all_combinations():
         assert isinstance(value, float)
 
 
-def test_ordering_matrix_accepts_raw_state():
-    rho = projector(bell("psi_plus", 2))
-    orderings = {"cross": [((0, 0), (1, 1)), ((0, 1), (1, 0))]}
-    table = detection.ordering_matrix(("W", "V"), rho, None, 2, (2, 2), orderings)
-    assert abs(table[(("W", "V"), "cross")] + 0.5) < 1e-12
-
-
 def test_raw_witness_must_be_finite_and_hermitian():
     rho = FIXED_STATES["bell_psi_plus"][0]
     skew = detection.wiring(1, [2, 2], [(np.arange(16.0).reshape(4, 4), [(0, 0), (0, 1)])])
@@ -231,12 +222,9 @@ def test_evaluator_rejects_a_value_that_overflows():
 
 
 def test_sweep_rejects_non_finite_grid_values():
-    # finite entries whose two-copy products overflow to inf past t=0.5
-    def blowup(t):
-        scale = 1e200 if t > 0.5 else 1.0
-        return scale * np.eye(4, dtype=complex) / 4.0
-
-    fam = StateFamily("toy_blowup", (2, 2), "t", (0.0, 1.0), blowup)
+    # finite entries whose two-copy products overflow to inf at every interior node
+    ends = (np.eye(4) / 4.0, 1e200 * np.eye(4) / 4.0)
+    fam = StateFamily("toy_blowup", (2, 2), "t", (0.0, 1.0), ends)
     spec = detection.wiring(2, [2, 2], [("W3", [(0, 1), (1, 0)])])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
         detection.sweep(spec, fam, grid_points=5)
@@ -387,20 +375,22 @@ def test_four_copy_wiring_with_a_free_slot_matches_the_oracle():
 
 
 @pytest.mark.parametrize("points", [11, 401])
-def test_sweep_calls_the_family_copies_plus_three_times(points):
+def test_sweep_calls_the_family_copies_plus_one_times(points, monkeypatch):
+    calls = []
+    call = StateFamily.__call__
+
+    def counting(self, p):
+        calls.append(p)
+        return call(self, p)
+
+    monkeypatch.setattr(StateFamily, "__call__", counting)
     for name, family in (("ex3_cyclic", "werner_w"), ("ex5_cross", "noisy_w")):
         spec = load_scenario(name).wiring
-        calls = []
-        fam = FAMILIES[family]
-
-        def counting(p, generator=fam.generator):
-            calls.append(p)
-            return generator(p)
-
-        report = detection.sweep(spec, replace(fam, generator=counting), points)
+        calls.clear()
+        report = detection.sweep(spec, FAMILIES[family], points)
         assert len(report.values) == points
         assert len(report.thresholds) == 1  # the root was located too
-        assert len(calls) <= spec.copies + 3
+        assert len(calls) == spec.copies + 1
 
 
 def test_sweep_of_a_zero_width_range_is_one_evaluation():
@@ -417,11 +407,40 @@ def test_sweep_of_a_zero_width_range_is_one_evaluation():
         detection.sweep(spec, narrow, 7)
 
 
-def test_sweep_rejects_a_family_that_is_not_affine():
-    fam = StateFamily("toy_cos", (2, 2), "t", (0.0, 1.5), lambda t: werner_a(math.cos(t)))
-    spec = detection.wiring(1, [2, 2], [("W3", [(0, 0), (0, 1)])])
-    with pytest.raises(ValueError, match="toy_cos is not affine"):
-        detection.sweep(spec, fam, grid_points=11)
+GRID_SCENARIOS = [
+    s for s in map(load_scenario, shipped_scenario_names()) if s.family.mode == "grid"
+]
+
+
+@st.composite
+def grid_scenario_sub_ranges(draw):
+    """A shipped grid scenario's wiring and family on a random sub-range of width 1e-13..1."""
+    scenario = draw(st.sampled_from(GRID_SCENARIOS))
+    spec = scenario.wiring
+    if scenario.witness_param is not None:
+        b = draw(st.sampled_from(scenario.witness_param.values))
+        spec = _with_witness_param(spec, scenario.witness_param.witness, b)
+    width = 10.0 ** draw(st.floats(-13.0, 0.0))
+    lo = (1.0 - width) * draw(st.floats(0.0, 1.0))
+    fam = replace(FAMILIES[scenario.family.name], param_range=(lo, min(lo + width, 1.0)))
+    return spec, fam, draw(st.integers(2, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_scenario_sub_ranges())
+def test_shipped_sweeps_are_exact_polynomials_on_any_sub_range(case):
+    # the family is affine, so the degree-copies interpolant is the trace
+    # itself: it meets direct evaluation at both ends and every grid point
+    # within the floor that the roots use, 1e-12 * (1 + max|node value|)
+    spec, fam, points = case
+    evaluate = detection.compile_wiring(spec)
+    direct = lambda p: evaluate(fam(p))  # noqa: E731
+    lo, hi = fam.param_range
+    scale = detection._chebyshev_interpolant(direct, lo, hi, spec.copies)[2]
+    report = detection.sweep(spec, fam, points)
+    assert (report.params[0], report.params[-1]) == (lo, hi)
+    for p, v in zip(report.params, report.values):
+        assert abs(v - direct(p)) <= 1e-12 * (1.0 + scale)
 
 
 PAIR_NAMES = ("W", "V", "W1", "W2", "W3", "W4", "P", "P_b")

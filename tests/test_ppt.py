@@ -5,7 +5,7 @@ import pytest
 
 from witwire import ppt
 from witwire.multipartite import partial_transpose
-from witwire.states import FAMILIES, StateFamily, bell, projector
+from witwire.states import FAMILIES, bell, projector
 
 
 def test_maximally_entangled_pt_spectrum():
@@ -85,9 +85,6 @@ def test_threshold_refusals():
         ppt.ppt_threshold(replace(werner_w, param_range=(0.7, 1.0)), [1])
     with pytest.raises(ValueError, match="no positive definite"):
         ppt.ppt_threshold(replace(werner_w, param_range=(0.0, 0.5)), [1])
-    squared = StateFamily("toy_squared", (2, 2), "t", (0.0, 1.0), lambda t: werner_w(t * t))
-    with pytest.raises(ValueError, match="toy_squared is not affine"):
-        ppt.ppt_threshold(squared, [1])
 
 
 def test_ppt_check_validates_the_state():

@@ -1,6 +1,9 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from oracles import FAMILY_ORACLES
 from witwire import states
 from witwire.multipartite import check_density_matrix
 
@@ -71,22 +74,66 @@ def test_parameterized_families_are_density_matrices():
 
 
 def test_werner_w_endpoints():
-    pure = states.werner_w(0.0)
+    werner_w = states.FAMILIES["werner_w"]
+    pure = werner_w(0.0)
     assert np.max(np.abs(pure - states.projector(states.bell("psi_plus", 2)))) < 1e-14
-    mixed = states.werner_w(1.0)
+    mixed = werner_w(1.0)
     assert np.max(np.abs(mixed - np.eye(4) / 4.0)) < 1e-14
 
 
 def test_werner_a_endpoints():
-    assert np.max(np.abs(states.werner_a(0.0) - np.eye(4) / 4.0)) < 1e-14
-    top = states.werner_a(1.0)
+    werner_a = states.FAMILIES["werner_a"]
+    assert np.max(np.abs(werner_a(0.0) - np.eye(4) / 4.0)) < 1e-14
+    top = werner_a(1.0)
     assert np.max(np.abs(top - states.projector(states.bell("psi_minus", 2)))) < 1e-14
 
 
 def test_noisy_w_endpoints():
-    clean = states.noisy_w(0.0)
+    noisy_w = states.FAMILIES["noisy_w"]
+    clean = noisy_w(0.0)
     assert np.max(np.abs(clean - states.projector(states.w_state()))) < 1e-14
-    assert np.max(np.abs(states.noisy_w(1.0) - np.eye(8) / 8.0)) < 1e-14
+    assert np.max(np.abs(noisy_w(1.0) - np.eye(8) / 8.0)) < 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_ORACLES))
+def test_families_match_their_formulas_bit_for_bit(name):
+    family, formula = states.FAMILIES[name], FAMILY_ORACLES[name]
+    special = [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), 0.5]
+    for p in [*special, *np.random.default_rng(17).uniform(0.0, 1.0, 500)]:
+        assert family(p).tobytes() == formula(float(p)).tobytes(), p
+
+
+def test_family_parameter_outside_the_unit_interval_is_refused():
+    werner_w = states.FAMILIES["werner_w"]
+    with pytest.raises(ValueError, match=r"^parameter w=1\.5 outside \[0\.0, 1\.0\]$"):
+        werner_w(1.5)
+    with pytest.raises(ValueError, match=r"^parameter w=nan outside"):
+        werner_w(float("nan"))
+    # the sub-range a sweep covers does not narrow where the family is defined
+    narrow = replace(werner_w, param_range=(0.2, 0.4))
+    assert np.array_equal(narrow(0.9), werner_w(0.9))
+
+
+def test_family_ends_are_read_only_copies():
+    ends = (np.eye(4, dtype=complex) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    family = states.StateFamily("toy", (2, 2), "t", (0.0, 1.0), ends)
+    ends[0][0, 0] = 7.0  # the caller's arrays stay the caller's
+    assert family(0.0)[0, 0] == 0.25
+    for end in family.ends:
+        with pytest.raises(ValueError, match="read-only"):
+            end[0, 0] = 1.0
+    assert len(fields(states.StateFamily)) == 5
+
+
+@pytest.mark.parametrize(
+    "end, message",
+    [(np.array(0.25), "expected a square matrix"), (np.eye(8) / 8.0, r"has shape \(8, 8\)")],
+    ids=["scalar", "wrong_dims"],
+)
+def test_family_ends_must_be_operators_on_its_dims(end, message):
+    # a scalar end would broadcast into every entry of p * rho1 + (1 - p) * rho0
+    with pytest.raises(ValueError, match=message):
+        states.StateFamily("toy", (2, 2), "t", (0.0, 1.0), (np.eye(4) / 4.0, end))
 
 
 def test_fixed_states_table():
