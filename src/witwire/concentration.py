@@ -8,17 +8,17 @@ of |phi> (measurement kind "m") or the maximally entangled state
 
 The measurement vectors |m> = (1 (x) (Psi*)^-1)|psi+> and
 |M> = (1 (x) (Psi* Psi*)^-1)|psi+> are unnormalized by construction.
-Physical quantities (probability, output state) use the normalized
+Physical quantities (probability, output ket) use the normalized
 projector on the normalized input; the unnormalized bookkeeping, whose
 ratio 1/(d^2 p) can exceed 1 and is therefore not itself a probability,
 is tracked separately and checked against its closed form.
 
 Only pure states are handled, as d x d matrices: (A (x) B)|psi+>
 reshapes to A B^T / sqrt d, so |phi> is Phi = Psi^T and |m>, |M> are
-(Psi^dag)^-1 and (Psi^dag Psi^dag)^-1 over sqrt d; no Kronecker
-product is formed.  With V the reshaped measurement vector, the
-(A, B') amplitudes are Phi conj(V) Phi.  MAX_DIM caps the d^2 x d^2
-output state, so 2 <= d <= 16.
+(Psi^dag)^-1 and its square over sqrt d; no Kronecker product and no
+density matrix is formed.  With V the reshaped measurement vector, the
+(A, B') amplitudes are Phi conj(V) Phi.  MAX_DIM caps the d^2 amplitudes
+of the output ket, so 2 <= d <= 16.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import MAX_DIM, check_local_dimension, condition_number, dagger, inverse
-from .states import _frozen, bell, check_schmidt_operator
+from .states import check_schmidt_operator
 
 CONDITION_CAP = 1e2
 
@@ -38,22 +38,16 @@ CONDITION_CAP = 1e2
 FIDELITY_TOL = 1e-9
 PROBABILITY_SLACK = 1e-12
 
-# kind "M"'s target |psi+> for every d the MAX_DIM cap allows, shared read-only
-_PSI_PLUS_BY_DIM = {d: _frozen(bell("psi_plus", d)) for d in range(2, math.isqrt(MAX_DIM) + 1)}
-
 
 @dataclass(frozen=True)
 class ConcentrationResult:
-    output_state: np.ndarray
-    dims: tuple[int, ...]
+    output: np.ndarray  # normalized (A, B') ket, d^2 amplitudes, A most significant
     probability: float
     fidelity_with_target: float
-    measurement_kind: str
-    # unnormalized bookkeeping: raw measurement weight and the ratio
-    # 1/(d^2 * weight); the ratio is d for kind "m", so it is a
-    # consistency handle, not a probability
+    # unnormalized bookkeeping: the raw measurement weight, whose ratio
+    # 1/(d^2 * weight) is d for kind "m", so it is a consistency handle,
+    # not a probability
     raw_weight: float
-    bookkeeping_ratio: float
 
 
 def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -62,13 +56,11 @@ def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndar
     d = psi_mat.shape[0]
     if d**2 > MAX_DIM:
         raise ValueError(f"output state dimension {d}^2 exceeds MAX_DIM={MAX_DIM}")
-    adj = dagger(psi_mat)
-    if kind == "m":
-        x = inverse(adj)
-    elif kind == "M":
-        x = inverse(adj @ adj)
-    else:
+    if kind not in ("m", "M"):
         raise ValueError(f"measurement kind must be 'm' or 'M', got {kind!r}")
+    x = inverse(dagger(psi_mat))  # Psi^dag has Psi's singular values, so this gates Psi
+    if kind == "M":
+        x = x @ x  # (Psi^dag Psi^dag)^-1 without squaring cond(Psi) before the inversion
     return psi_mat, x.reshape(-1) / math.sqrt(d)
 
 
@@ -76,8 +68,8 @@ def measurement_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, floa
     """Unnormalized measurement vector for the (B, A') pair, with its norm.
 
     The vector is X / sqrt d read row-major, X = (Psi^dag)^-1 for kind
-    "m" and (Psi^dag Psi^dag)^-1 for kind "M".  The guarded inversion is
-    of the matrix actually inverted, so its gates apply to that matrix.
+    "m" and its square, (Psi^dag Psi^dag)^-1, for kind "M".  The guarded
+    inversion is of Psi^dag alone, so its gates apply to Psi for both kinds.
     """
     vec = _checked_vector(psi_mat, kind)[1]
     return vec, float(np.linalg.norm(vec))
@@ -96,12 +88,10 @@ def _raw_weight(psi_mat: np.ndarray, vec: np.ndarray) -> float:
 
 
 def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
-    """Run the protocol on two copies of |phi> and report the A,B' state."""
+    """Run the protocol on two copies of |phi> and report the A,B' ket."""
     psi_mat, vec = _checked_vector(psi_mat, kind)
     norm = float(np.linalg.norm(vec))
     d = psi_mat.shape[0]
-    if kind == "M":  # kind "m" inverted Psi^dag, whose singular values are Psi's
-        inverse(psi_mat)  # |phi>'s full-rank gate: Psi^dag Psi^dag can hide a singular Psi
     phi = psi_mat.T.reshape(-1)
     phi = phi / np.linalg.norm(phi)
     if norm < 1e-14:
@@ -110,20 +100,14 @@ def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
     probability = float(np.vdot(out, out).real)
     if probability < 1e-14:
         raise ValueError(f"measurement outcome has probability {probability:.3e}")
-    output = np.outer(out, out.conj()) / probability
-
-    target = phi if kind == "m" else _PSI_PLUS_BY_DIM[d]
-    fidelity = float((target.conj() @ output @ target).real)
-    raw_weight = _raw_weight(psi_mat, vec)
-
+    output = out / math.sqrt(probability)
+    # <target|output>: the target is |phi> for kind "m" and |psi+> for kind "M"
+    overlap = np.vdot(phi, output) if kind == "m" else np.trace(output.reshape(d, d)) / math.sqrt(d)
     return ConcentrationResult(
-        output_state=output,
-        dims=(d, d),
+        output=output,
         probability=probability,
-        fidelity_with_target=fidelity,
-        measurement_kind=kind,
-        raw_weight=raw_weight,
-        bookkeeping_ratio=1.0 / (d**2 * raw_weight),
+        fidelity_with_target=float(abs(overlap) ** 2),
+        raw_weight=_raw_weight(psi_mat, vec),
     )
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import witnesses as _witnesses
-from .linalg import MAX_DIM, check_hermitian
+from .linalg import MAX_DIM, check_hermitian, checked_integer
 from .states import StateFamily
 
 IMAG_TOL = 1e-9
@@ -107,16 +107,26 @@ def wiring(
     base_dims: Sequence[int],
     assignments: Sequence[tuple],
 ) -> WiringSpec:
-    """Convenience constructor from (witness, slots[, param]) tuples."""
+    """Convenience constructor from (witness, slots[, param]) tuples.
+
+    Copies, dims and slot indices must be integers, NumPy's included; a
+    float or a bool is refused by its field rather than truncated.
+    """
     built = []
-    for entry in assignments:
+    for j, entry in enumerate(assignments):
         if len(entry) == 2:
             wit, slots = entry
             param = None
         else:
             wit, slots, param = entry
-        built.append(Assignment(wit, tuple((int(c), int(p)) for c, p in slots), param))
-    return WiringSpec(int(copies), tuple(int(d) for d in base_dims), tuple(built))
+        where = f"assignments[{j}].slots"
+        slots = tuple(
+            (checked_integer(c, f"{where}[{i}]"), checked_integer(p, f"{where}[{i}]"))
+            for i, (c, p) in enumerate(slots)
+        )
+        built.append(Assignment(wit, slots, param))
+    base_dims = tuple(checked_integer(d, f"base_dims[{i}]") for i, d in enumerate(base_dims))
+    return WiringSpec(checked_integer(copies, "copies"), base_dims, tuple(built))
 
 
 def _operator_product(
@@ -465,14 +475,8 @@ def ordering_matrix(
     rho = family(param)
     table: dict[tuple, float] = {}
     for label, groups in orderings.items():
-        slot_groups = [tuple((int(c), int(p)) for c, p in g) for g in groups]
-        for combo in itertools.product(witness_names, repeat=len(slot_groups)):
-            spec = WiringSpec(
-                copies=copies,
-                base_dims=tuple(int(d) for d in base_dims),
-                assignments=tuple(
-                    Assignment(name, slots) for name, slots in zip(combo, slot_groups)
-                ),
-            )
-            table[(combo, label)] = expectation(spec, rho)
+        spec = wiring(copies, base_dims, [(None, g) for g in groups])  # integers checked once per label
+        for combo in itertools.product(witness_names, repeat=len(groups)):
+            assignments = tuple(Assignment(name, a.slots) for name, a in zip(combo, spec.assignments))
+            table[(combo, label)] = expectation(WiringSpec(spec.copies, spec.base_dims, assignments), rho)
     return table

@@ -5,19 +5,19 @@ native operators (``+``, ``-``, ``*``, ``@``, ``np.kron``, ``np.trace``,
 ``.T``, ``.conj()``).  This module adds the pieces that carry contracts:
 Hermitian eigendecomposition that refuses non-Hermitian input instead of
 symmetrizing silently, and inversion guarded by a condition estimate.
-It also owns the input gates the other modules share: the local
-dimension, square and operator shape, Hermiticity, and the trace and
-eigenvalue tolerances.
+It also owns the input gates the other modules share: integers, the
+local dimension, square and operator shape, Hermiticity, and the trace
+and eigenvalue tolerances.
 
 Everything here is sized for small dense problems; MAX_DIM = 256 caps
-the dense matrices the library builds: the Hermitian eigensolver here
-(so every PPT check) and the concentration output state.  The library
-never forms rho^(x)k or a full k-copy operator.  A compiled wiring
-builds only per-copy witness blocks on its placed slots, none larger
-than the operator on all of them, and MAX_DIM caps the product of the
-placed dims, not the full k-copy dimension: a wiring on three copies of
-a three-qubit state (D = 512) evaluates as long as its placed dims
-multiply to at most 256.
+the dense matrices the library builds, which the Hermitian eigensolver
+here (so every PPT check) takes, and the d^2 amplitudes of the
+concentration output ket.  The library never forms rho^(x)k or a full
+k-copy operator.  A compiled wiring builds only per-copy witness blocks
+on its placed slots, none larger than the operator on all of them, and
+MAX_DIM caps the product of the placed dims, not the full k-copy
+dimension: a wiring on three copies of a three-qubit state (D = 512)
+evaluates as long as its placed dims multiply to at most 256.
 """
 
 from __future__ import annotations
@@ -58,6 +58,18 @@ def hermiticity_defect(a: np.ndarray) -> float:
     if not np.isfinite(a).all():
         return math.inf
     return float(abs(a - a.conj().T).max()) if a.size else 0.0
+
+
+def is_integer(value) -> bool:
+    """True for a Python or NumPy integer; a bool is not one, though ``int()`` reads it as 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def checked_integer(value, where: str) -> int:
+    """``value`` as an int, refused by ``where`` unless ``is_integer``: ``int()`` would read 2.7 as 2."""
+    if not is_integer(value):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def check_local_dimension(d: int) -> None:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EIG_TOL, TRACE_TOL, check_hermitian, check_local_dimension, check_operator, min_eigenvalue
+from .linalg import EIG_TOL, TRACE_TOL, check_hermitian, check_local_dimension, check_operator
+from .linalg import is_integer, min_eigenvalue
 
 
 def _as_square(mat: np.ndarray, dims: list[int]) -> np.ndarray:
@@ -36,7 +37,7 @@ def _check_slots(slots: list[int], n: int) -> None:
 
     A float slot would name no axis: ``partial_trace`` would trace nothing.
     """
-    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in slots):
+    if not all(is_integer(s) for s in slots):
         raise ValueError(f"slots {list(slots)} are not all ints")
     if len(set(slots)) != len(slots):
         raise ValueError(f"repeated slot in {list(slots)}")

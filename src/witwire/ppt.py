@@ -5,9 +5,10 @@ A state whose partial transpose has a negative eigenvalue is entangled
 though for 2x2 and 2x3 systems it certifies separability.  The verdict
 threshold sits at -EIG_TOL (``linalg.EIG_TOL`` = 1e-9), clear of
 eigensolver residual, so numerical noise on a PSD spectrum never gets
-reported as entanglement.  The transposed slots must be distinct ints
-naming a nonempty proper subset of the parties: transposing none or all
-of them leaves the spectrum of rho.
+reported as entanglement.  The transposed slots obey the slot rule of
+``multipartite`` (distinct ints in range) and must name a nonempty
+proper subset of the parties: transposing none or all of them leaves
+the spectrum of rho.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EIG_TOL, dagger, hermitian_eig, min_eigenvalue
-from .multipartite import check_density_matrix, partial_transpose
+from .multipartite import _check_slots, check_density_matrix, partial_transpose
 from .states import StateFamily
 
 
@@ -29,16 +30,12 @@ class PptVerdict:
 
 
 def _checked_slots(transposed_slots, n_parties: int) -> tuple[int, ...]:
-    """The transposed slots, refused unless distinct ints forming a nonempty proper subset."""
-    slots = tuple(transposed_slots)
-    if not (
-        all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in slots)
-        and 0 < len(set(slots)) == len(slots) < n_parties
-        and set(slots) <= set(range(n_parties))
-    ):
+    """The transposed slots: the shared slot rule, plus a nonempty proper subset."""
+    slots = list(transposed_slots)
+    _check_slots(slots, n_parties)
+    if not 0 < len(slots) < n_parties:
         raise ValueError(
-            f"transposed slots {list(slots)} are not distinct ints forming a nonempty "
-            f"proper subset of the parties 0..{n_parties - 1}"
+            f"transposed slots {slots} are not a nonempty proper subset of the parties 0..{n_parties - 1}"
         )
     return tuple(int(s) for s in slots)
 

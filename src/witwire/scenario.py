@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .detection import Assignment, DetectionReport, WiringSpec, expectation, sweep
+from .linalg import checked_integer
 from .states import FAMILIES, FIXED_STATES
 from .witnesses import canonical_name
 
@@ -74,13 +75,6 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ValueError(f"{where}: missing required field(s) {', '.join(missing)}")
 
 
-def _integer(value, where: str) -> int:
-    # JSON integers only: int() would read 2.7 as 2, "2" as 2 and true as 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
 def _number(value, where: str) -> float:
     # finite JSON numbers only: float() would read "0.25" as 0.25 and true as 1.0; the
     # negated bound also turns away NaN, Infinity and integers too large for a float
@@ -112,7 +106,7 @@ def _parse_family(obj: dict) -> FamilyRef:
     if has_value:
         return FamilyRef(name=name, value=_number(obj["value"], "family.value"))
     if has_grid:
-        points = _integer(obj["points"], "family.points")
+        points = checked_integer(obj["points"], "family.points")
         if points < 2:
             raise ValueError(f"family: grid needs points >= 2, got {points}")
         return FamilyRef(
@@ -142,7 +136,8 @@ def _parse_wiring(obj: dict) -> WiringSpec:
             Assignment(
                 witness=str(a["witness"]),
                 slots=tuple(
-                    tuple(_integer(v, f"{where}.slots[{i}]") for v in s) for i, s in enumerate(slots)
+                    tuple(checked_integer(v, f"{where}.slots[{i}]") for v in s)
+                    for i, s in enumerate(slots)
                 ),
                 param=None if param is None else _number(param, f"{where}.param"),
             )
@@ -150,8 +145,8 @@ def _parse_wiring(obj: dict) -> WiringSpec:
     if not isinstance(obj["base_dims"], list):
         raise ValueError("wiring.base_dims: expected a list of integers")
     spec = WiringSpec(
-        copies=_integer(obj["copies"], "wiring.copies"),
-        base_dims=tuple(_integer(d, "wiring.base_dims") for d in obj["base_dims"]),
+        copies=checked_integer(obj["copies"], "wiring.copies"),
+        base_dims=tuple(checked_integer(d, "wiring.base_dims") for d in obj["base_dims"]),
         assignments=tuple(assignments),
     )
     spec.validate()
@@ -169,7 +164,7 @@ def parse_scenario(text: str) -> Scenario:
         {"version", "name", "seed", "family", "wiring"},
         "scenario",
     )
-    if _integer(obj["version"], "version") != SCENARIO_VERSION:
+    if checked_integer(obj["version"], "version") != SCENARIO_VERSION:
         raise ValueError(f"unsupported scenario version {obj['version']}")
     family = _parse_family(obj["family"])
     wiring = _parse_wiring(obj["wiring"])
@@ -196,7 +191,7 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         version=SCENARIO_VERSION,
         name=str(obj["name"]),
-        seed=_integer(obj["seed"], "seed"),
+        seed=checked_integer(obj["seed"], "seed"),
         family=family,
         wiring=wiring,
         witness_param=witness_param,

@@ -6,7 +6,6 @@ from oracles import concentration_oracle, measurement_vector_oracles
 from witwire import cli
 from witwire import concentration as conc
 from witwire.linalg import dagger
-from witwire.multipartite import check_density_matrix
 from witwire.states import bell, projector
 
 
@@ -57,7 +56,7 @@ def test_concentrate_identity_is_swapping():
         assert abs(res.probability - 0.25) < 1e-10
         assert abs(res.fidelity_with_target - 1.0) < 1e-10
         target = projector(bell("psi_plus", 2))
-        assert np.max(np.abs(res.output_state - target)) < 1e-10
+        assert np.max(np.abs(projector(res.output) - target)) < 1e-10
 
 
 def test_concentrate_random_reaches_target():
@@ -69,10 +68,8 @@ def test_concentrate_random_reaches_target():
                 res = conc.concentrate(psi_mat, kind)
                 assert abs(res.fidelity_with_target - 1.0) < 1e-9
                 assert 0.0 < res.probability <= 1.0 + 1e-12
-                check_density_matrix(res.output_state, [d, d])
-                # kind m leaves a copy of the input state, whose purity is 1
-                purity = np.trace(res.output_state @ res.output_state).real
-                assert abs(purity - 1.0) < 1e-9
+                assert res.output.shape == (d * d,)
+                assert abs(np.linalg.norm(res.output) - 1.0) < 1e-9
 
 
 def test_bookkeeping_ratio_kind_m_is_d():
@@ -83,7 +80,7 @@ def test_bookkeeping_ratio_kind_m_is_d():
         # raw weight d^-3 gives ratio 1/(d^2 d^-3) = d, above 1: the raw
         # numbers are bookkeeping, not probabilities
         assert abs(res.raw_weight - d ** -3) < 1e-9
-        assert abs(res.bookkeeping_ratio - d) < 1e-6
+        assert abs(1.0 / (d**2 * res.raw_weight) - d) < 1e-6
 
 
 def test_probability_consistency_closed_form():
@@ -120,7 +117,7 @@ def test_concentrate_rejects_unnormalized_input():
 def _assert_matches_oracle(psi_mat, kind, tol=1e-10):
     res = conc.concentrate(psi_mat, kind)
     output, probability, fidelity, raw_weight = concentration_oracle(psi_mat, kind)
-    assert np.max(np.abs(res.output_state - output)) < tol
+    assert np.max(np.abs(projector(res.output) - output)) < tol
     assert abs(res.probability - probability) < tol
     assert abs(res.fidelity_with_target - fidelity) < tol
     assert abs(res.raw_weight - raw_weight) < tol
@@ -152,13 +149,13 @@ def test_concentrate_matches_dense_oracle_property(psi_mat, kind):
 
 
 def test_concentrate_beyond_two_copy_dense_limit():
-    # no d^4 x d^4 matrix is formed, so only the d^2 x d^2 output caps d
+    # no d^4 x d^4 matrix is formed, so only the d^2 output amplitudes cap d
     rng = np.random.default_rng(131)
     for d in (5, 16):
         for kind in ("m", "M"):
             psi_mat = conc.random_schmidt_operator(d, rng)
             res = conc.concentrate(psi_mat, kind)
-            assert res.output_state.shape == (d * d, d * d)
+            assert res.output.shape == (d * d,)
             assert abs(res.fidelity_with_target - 1.0) < 1e-9
             assert 0.0 < res.probability <= 1.0 + 1e-12
             _, _, delta = conc.probability_consistency(psi_mat, kind)
@@ -199,13 +196,18 @@ def test_local_dimension_below_two_is_refused_by_name(d, capsys):
 
 
 def test_concentration_path_never_calls_kron(monkeypatch):
+    # neither a Kronecker product nor a density matrix: the path is d x d algebra
     rng = np.random.default_rng(137)
     cases = [conc.random_schmidt_operator(d, rng) for d in (2, 3, 4)]
 
-    def no_kron(*args, **kwargs):
-        raise AssertionError("np.kron on the concentration path")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.{name} on the concentration path")
 
-    monkeypatch.setattr(np, "kron", no_kron)
+        return call
+
+    monkeypatch.setattr(np, "kron", forbidden("kron"))
+    monkeypatch.setattr(np, "outer", forbidden("outer"))
     for psi_mat in cases:
         for kind in ("m", "M"):
             conc.concentrate(psi_mat, kind)
@@ -226,19 +228,12 @@ def test_each_call_validates_psi_once(monkeypatch):
     monkeypatch.setattr(conc, "check_schmidt_operator", counting("check", conc.check_schmidt_operator))
     monkeypatch.setattr(conc, "inverse", counting("inverse", conc.inverse))
     psi_mat = conc.random_schmidt_operator(3, 151)
-    # kind "M" inverts Psi^dag Psi^dag, and concentrate inverts Psi as |phi>'s gate
-    expected = [
-        (conc.concentrate, "m", 1),
-        (conc.concentrate, "M", 2),
-        (conc.probability_consistency, "m", 1),
-        (conc.probability_consistency, "M", 1),
-        (conc.measurement_vector, "m", 1),
-        (conc.measurement_vector, "M", 1),
-    ]
-    for call, kind, inverses in expected:
-        counts.update(check=0, inverse=0)
-        call(psi_mat, kind)
-        assert counts == {"check": 1, "inverse": inverses}, (call.__name__, kind)
+    # both kinds invert Psi^dag once; kind "M" squares that inverse
+    for call in (conc.concentrate, conc.probability_consistency, conc.measurement_vector):
+        for kind in ("m", "M"):
+            counts.update(check=0, inverse=0)
+            call(psi_mat, kind)
+            assert counts == {"check": 1, "inverse": 1}, (call.__name__, kind)
 
 
 def test_ill_conditioned_psi_is_refused_by_every_call():
@@ -250,10 +245,11 @@ def test_ill_conditioned_psi_is_refused_by_every_call():
             with pytest.raises(ValueError, match="ill-conditioned"):
                 call(near_singular, kind)
     # Psi^dag Psi^dag = s I is perfectly conditioned while Psi is not:
-    # concentrate still refuses Psi for |phi>, as the kind "m" path does
+    # every call inverts Psi^dag itself, so every call refuses Psi
     swap = np.array([[0.0, 1.0], [1e-13, 0.0]], dtype=complex)
     swap /= np.linalg.norm(swap)
     assert np.linalg.cond(dagger(swap) @ dagger(swap)) < 2.0
-    for kind in ("m", "M"):
-        with pytest.raises(ValueError, match="ill-conditioned"):
-            conc.concentrate(swap, kind)
+    for call in (conc.concentrate, conc.probability_consistency, conc.measurement_vector):
+        for kind in ("m", "M"):
+            with pytest.raises(ValueError, match="ill-conditioned"):
+                call(swap, kind)

@@ -27,6 +27,30 @@ def test_wiring_slot_collision_rejected():
         detection.wiring(1, [2, 2], [("W", [(0, 0), (1, 1)])]).validate()
 
 
+@pytest.mark.parametrize(
+    "copies, base_dims, slots, where",
+    [
+        (2.7, [2, 2], [(0, 0), (0, 1)], "copies: expected an integer, got 2.7"),
+        (True, [2, 2], [(0, 0), (0, 1)], "copies: expected an integer, got True"),
+        (1, [2, 2.0], [(0, 0), (0, 1)], "base_dims[1]: expected an integer, got 2.0"),
+        (1, [2, 2], [(0, 0), (0.9, 1)], "assignments[0].slots[1]: expected an integer, got 0.9"),
+        (1, [2, 2], [(0, False), (0, 1)], "assignments[0].slots[0]: expected an integer, got False"),
+    ],
+    ids=["float_copies", "bool_copies", "float_dim", "float_slot", "bool_slot"],
+)
+def test_wiring_refuses_a_non_integer_by_its_field(copies, base_dims, slots, where):
+    # int() would read 2.7 copies as 2, the slot (0.9, 1) as (0, 1) and True as 1
+    with pytest.raises(ValueError) as exc:
+        detection.wiring(copies, base_dims, [("W", slots)])
+    assert str(exc.value) == where
+
+
+def test_wiring_accepts_numpy_integers():
+    spec = detection.wiring(np.int64(1), np.array([2, 2]), [("W", np.array([[0, 0], [0, 1]]))])
+    assert spec == detection.wiring(1, [2, 2], [("W", [(0, 0), (0, 1)])])
+    assert all(type(v) is int for v in (spec.copies, *spec.base_dims, *spec.assignments[0].slots[1]))
+
+
 @pytest.mark.parametrize("base_dims", [[], [0], [-2], [2, 0]])
 def test_wiring_with_malformed_base_dims_rejected(base_dims):
     spec = detection.wiring(1, base_dims, [])

@@ -58,16 +58,33 @@ def test_threshold_needs_a_nonempty_proper_slot_subset():
             ppt.ppt_threshold(FAMILIES[name], slots)
 
 
-@pytest.mark.parametrize("slots", [[], [0, 1], [1, 0], [1, 1], [2], [1.0], [True]])
-def test_check_and_threshold_refuse_the_same_slot_lists(slots):
-    # distinct ints forming a nonempty proper subset, for the spectrum, verdict and threshold alike
+@pytest.mark.parametrize(
+    "slots, message",
+    [
+        ([], "transposed slots [] are not a nonempty proper subset of the parties 0..1"),
+        ([0, 1], "transposed slots [0, 1] are not a nonempty proper subset of the parties 0..1"),
+        ([1, 0], "transposed slots [1, 0] are not a nonempty proper subset of the parties 0..1"),
+        ([1, 1], "repeated slot in [1, 1]"),
+        ([2], "slot index out of range in [2] for 2 slots"),
+        ([1.0], "slots [1.0] are not all ints"),
+        ([True], "slots [True] are not all ints"),
+    ],
+)
+def test_check_and_threshold_refuse_the_same_slot_lists(slots, message):
+    # the spectrum, verdict and threshold share one rule: partial_transpose's slot
+    # rule, in its own words, plus a nonempty proper subset
     fam = FAMILIES["werner_w"]
-    with pytest.raises(ValueError, match="distinct ints forming a nonempty proper subset"):
-        ppt.ppt_check(fam(0.5), [2, 2], slots)
-    with pytest.raises(ValueError, match="distinct ints forming a nonempty proper subset"):
-        ppt.ppt_threshold(fam, slots)
-    with pytest.raises(ValueError, match="distinct ints forming a nonempty proper subset"):
-        ppt.min_pt_eigenvalue(fam(0.5), [2, 2], slots)
+    calls = [
+        lambda: ppt.ppt_check(fam(0.5), [2, 2], slots),
+        lambda: ppt.ppt_threshold(fam, slots),
+        lambda: ppt.min_pt_eigenvalue(fam(0.5), [2, 2], slots),
+    ]
+    if "proper subset" not in message:
+        calls.append(lambda: partial_transpose(fam(0.5), [2, 2], slots))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_threshold_on_a_sub_range_starts_from_its_positive_definite_end():
