@@ -9,9 +9,10 @@ of |phi> (measurement kind "m") or the maximally entangled state
 The measurement vectors |m> = (1 (x) (Psi*)^-1)|psi+> and
 |M> = (1 (x) (Psi* Psi*)^-1)|psi+> are unnormalized by construction.
 Physical quantities (probability, output ket) use the normalized
-projector on the normalized input; the unnormalized bookkeeping, whose
+projector on the normalized input.  The unnormalized bookkeeping, whose
 ratio 1/(d^2 p) can exceed 1 and is therefore not itself a probability,
-is tracked separately and checked against its closed form.
+is not part of a run: ``probability_consistency`` computes it and checks
+it against its closed form.
 
 Only pure states are handled, as d x d matrices: (A (x) B)|psi+>
 reshapes to A B^T / sqrt d, so |phi> is Phi = Psi^T and |m>, |M> are
@@ -44,10 +45,6 @@ class ConcentrationResult:
     output: np.ndarray  # normalized (A, B') ket, d^2 amplitudes, A most significant
     probability: float
     fidelity_with_target: float
-    # unnormalized bookkeeping: the raw measurement weight, whose ratio
-    # 1/(d^2 * weight) is d for kind "m", so it is a consistency handle,
-    # not a probability
-    raw_weight: float
 
 
 def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +104,6 @@ def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
         output=output,
         probability=probability,
         fidelity_with_target=float(abs(overlap) ** 2),
-        raw_weight=_raw_weight(psi_mat, vec),
     )
 
 
@@ -118,8 +114,8 @@ def probability_consistency(psi_mat: np.ndarray, kind: str) -> tuple[float, floa
     equals d^-2 times the unnormalized target projector, so its trace
     (the raw measurement weight) must equal d^-2 times the target's
     trace: d^-3 for kind "m", d^-2 for kind "M".  Returns
-    (lhs, rhs, |lhs - rhs|) with lhs the raw weight `concentrate`
-    reports, from the same helper; the protocol is not run, so its
+    (lhs, rhs, |lhs - rhs|) with lhs the raw weight, whose ratio
+    1/(d^2 lhs) is d for kind "m"; the protocol is not run, so its
     degenerate-vector and zero-probability errors are not raised.
     """
     psi_mat, vec = _checked_vector(psi_mat, kind)

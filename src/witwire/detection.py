@@ -102,6 +102,21 @@ class WiringSpec:
                 seen.add(flat)
 
 
+_SEQUENCE = (list, tuple, np.ndarray)
+
+
+def checked_slot_pairs(slots, where: str) -> tuple[tuple[int, int], ...]:
+    """``slots`` as (copy, party) int pairs; ``where`` names the list in a refusal.
+
+    The list and each slot in it must be a list, tuple or array, and
+    each slot a pair: a slot (0, 0, 1) is refused by ``where``, and a
+    non-integer index by ``where[i]``, rather than unpacked or truncated.
+    """
+    if not isinstance(slots, _SEQUENCE) or any(not isinstance(s, _SEQUENCE) or len(s) != 2 for s in slots):
+        raise ValueError(f"{where}: expected a list of [copy, party] pairs")
+    return tuple(tuple(checked_integer(v, f"{where}[{i}]") for v in s) for i, s in enumerate(slots))
+
+
 def wiring(
     copies: int,
     base_dims: Sequence[int],
@@ -110,21 +125,16 @@ def wiring(
     """Convenience constructor from (witness, slots[, param]) tuples.
 
     Copies, dims and slot indices must be integers, NumPy's included; a
-    float or a bool is refused by its field rather than truncated.
+    float or a bool is refused by its field rather than truncated.  Each
+    entry has two or three items and each slot is a pair, as in a
+    scenario file.
     """
     built = []
     for j, entry in enumerate(assignments):
-        if len(entry) == 2:
-            wit, slots = entry
-            param = None
-        else:
-            wit, slots, param = entry
-        where = f"assignments[{j}].slots"
-        slots = tuple(
-            (checked_integer(c, f"{where}[{i}]"), checked_integer(p, f"{where}[{i}]"))
-            for i, (c, p) in enumerate(slots)
-        )
-        built.append(Assignment(wit, slots, param))
+        if len(entry) not in (2, 3):
+            raise ValueError(f"assignments[{j}]: expected (witness, slots[, param]), got {len(entry)} items")
+        wit, slots, param = entry if len(entry) == 3 else (*entry, None)
+        built.append(Assignment(wit, checked_slot_pairs(slots, f"assignments[{j}].slots"), param))
     base_dims = tuple(checked_integer(d, f"base_dims[{i}]") for i, d in enumerate(base_dims))
     return WiringSpec(checked_integer(copies, "copies"), base_dims, tuple(built))
 

@@ -48,9 +48,10 @@ def min_pt_eigenvalue(rho, dims, transposed_slots) -> float:
 def ppt_check(rho, dims, transposed_slots) -> PptVerdict:
     """Minimum eigenvalue of the partial transpose, with verdict."""
     check_density_matrix(rho, list(dims))
-    low = min_pt_eigenvalue(rho, dims, transposed_slots)
+    slots = _checked_slots(transposed_slots, len(dims))  # read once: an iterator has one pass
+    low = min_pt_eigenvalue(rho, dims, slots)
     verdict = "npt_entangled" if low < -EIG_TOL else "ppt_inconclusive"
-    return PptVerdict(low, tuple(int(s) for s in transposed_slots), verdict)
+    return PptVerdict(low, slots, verdict)
 
 
 def ppt_threshold(family: StateFamily, transposed_slots) -> float:

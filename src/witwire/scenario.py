@@ -1,12 +1,11 @@
-"""Scenario files: the serialized form of a wiring evaluation.
+"""Scenario files: the input form of a wiring evaluation.
 
 A scenario names a state (fixed, at one parameter value, or on a
 parameter grid), a wiring, and optional output sinks.  The format is
 JSON with a strict schema: unknown fields are rejected rather than
 ignored, so a typo like "witnes" fails loudly instead of silently
-evaluating something else.  Serialization is canonical (sorted keys,
-two-space indent, trailing newline) and parsing then re-serializing a
-canonical file reproduces it byte for byte.
+evaluating something else.  The library reads scenario files; it
+does not write them.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 
-from .detection import Assignment, DetectionReport, WiringSpec, expectation, sweep
+from .detection import Assignment, DetectionReport, WiringSpec, checked_slot_pairs, expectation, sweep
 from .linalg import checked_integer
 from .states import FAMILIES, FIXED_STATES
 from .witnesses import canonical_name
@@ -126,19 +125,11 @@ def _parse_wiring(obj: dict) -> WiringSpec:
     for idx, a in enumerate(obj["assignments"]):
         where = f"wiring.assignments[{idx}]"
         _require_keys(a, {"witness", "slots", "param"}, {"witness", "slots"}, where)
-        slots = a["slots"]
-        if not isinstance(slots, list) or any(
-            not isinstance(s, list) or len(s) != 2 for s in slots
-        ):
-            raise ValueError(f"{where}.slots: expected a list of [copy, party] pairs")
         param = a.get("param")
         assignments.append(
             Assignment(
                 witness=str(a["witness"]),
-                slots=tuple(
-                    tuple(checked_integer(v, f"{where}.slots[{i}]") for v in s)
-                    for i, s in enumerate(slots)
-                ),
+                slots=checked_slot_pairs(a["slots"], f"{where}.slots"),
                 param=None if param is None else _number(param, f"{where}.param"),
             )
         )
@@ -197,48 +188,6 @@ def parse_scenario(text: str) -> Scenario:
         witness_param=witness_param,
         outputs=tuple(outputs),
     )
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    fam: dict = {"name": s.family.name}
-    if s.family.mode == "value":
-        fam["value"] = float(s.family.value)
-    elif s.family.mode == "grid":
-        fam["start"] = float(s.family.start)
-        fam["stop"] = float(s.family.stop)
-        fam["points"] = int(s.family.points)
-    assignments = []
-    for a in s.wiring.assignments:
-        if not isinstance(a.witness, str):
-            raise ValueError("only named witnesses are serializable")
-        entry: dict = {"witness": a.witness, "slots": [[c, p] for c, p in a.slots]}
-        if a.param is not None:
-            entry["param"] = float(a.param)
-        assignments.append(entry)
-    obj: dict = {
-        "version": s.version,
-        "name": s.name,
-        "seed": s.seed,
-        "family": fam,
-        "wiring": {
-            "copies": s.wiring.copies,
-            "base_dims": list(s.wiring.base_dims),
-            "assignments": assignments,
-        },
-    }
-    if s.witness_param is not None:
-        obj["witness_param"] = {
-            "witness": s.witness_param.witness,
-            "name": s.witness_param.name,
-            "values": [float(v) for v in s.witness_param.values],
-        }
-    if s.outputs:
-        obj["outputs"] = [{"format": o.format, "path": o.path} for o in s.outputs]
-    return obj
-
-
-def serialize_scenario(s: Scenario) -> str:
-    return json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EIG_TOL, PAULI_X, PAULI_Y, PAULI_Z, check_hermitian, check_operator, hermitian_eig
+from .linalg import EIG_TOL, PAULI_X, PAULI_Y, PAULI_Z, check_hermitian, check_operator, checked_integer
+from .linalg import hermitian_eig
 from .multipartite import partial_transpose
 from .states import bell, projector, w_state
 
@@ -214,7 +215,7 @@ def min_product_expectation(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    dims = [int(d) for d in dims]
+    dims = [checked_integer(d, f"dims[{i}]") for i, d in enumerate(dims)]
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be a nonempty list of positive dimensions, got {dims}")
     matrix = check_operator(matrix, dims, "matrix")

@@ -14,18 +14,13 @@ import numpy as np
 
 from witwire import cli, detection, ppt
 from witwire.concentration import concentrate, probability_consistency, random_schmidt_operator
-from witwire.multipartite import embed, partial_trace, partial_transpose, permute_subsystems
+from witwire.multipartite import partial_transpose
 from witwire.reproduce import load_scenario, reproduce
 from witwire.scenario import run_scenario
 from witwire.states import FAMILIES, FIXED_STATES, sigma_imaginarity
 from witwire.witnesses import catalog, min_product_expectation
 
-from oracles import (
-    embed_oracle,
-    partial_trace_oracle,
-    partial_transpose_oracle,
-    permute_oracle,
-)
+from oracles import partial_transpose_oracle
 
 SEED = 20240817
 
@@ -361,38 +356,19 @@ def test_09_oracle_equivalence():
         )
         return n, dims, mat
 
-    worst = {"permute": 0.0, "embed": 0.0, "partial_trace": 0.0, "partial_transpose": 0.0}
+    worst = 0.0
     for _ in range(200):
         n, dims, mat = random_system()
-        perm = list(rng.permutation(n))
-        gap = np.max(
-            np.abs(permute_subsystems(mat, dims, perm) - permute_oracle(mat, dims, perm))
-        )
-        worst["permute"] = max(worst["permute"], float(gap))
-
+        # the draws of the retired permute, embed and partial-trace checks, kept in
+        # order so that the partial transpose sees the same 200 systems as before
+        rng.permutation(n)
         k = int(rng.integers(1, n + 1))
-        slots = list(rng.permutation(n)[:k])
-        local_dims = [dims[s] for s in slots]
-        lt = int(np.prod(local_dims))
-        local = rng.standard_normal((lt, lt)) + 1j * rng.standard_normal((lt, lt))
-        gap = np.max(
-            np.abs(
-                embed(local, local_dims, slots, dims)
-                - embed_oracle(local, local_dims, slots, dims)
-            )
-        )
-        worst["embed"] = max(worst["embed"], float(gap))
-
+        lt = int(np.prod([dims[s] for s in rng.permutation(n)[:k]]))
+        rng.standard_normal((lt, lt))
+        rng.standard_normal((lt, lt))
         if n > 1:
-            kt = int(rng.integers(1, n))
-            traced = sorted(rng.permutation(n)[:kt].tolist())
-            gap = np.max(
-                np.abs(
-                    partial_trace(mat, dims, traced)
-                    - partial_trace_oracle(mat, dims, traced)
-                )
-            )
-            worst["partial_trace"] = max(worst["partial_trace"], float(gap))
+            rng.integers(1, n)
+            rng.permutation(n)
 
         kp = int(rng.integers(1, n + 1))
         transposed = sorted(rng.permutation(n)[:kp].tolist())
@@ -402,11 +378,10 @@ def test_09_oracle_equivalence():
                 - partial_transpose_oracle(mat, dims, transposed)
             )
         )
-        worst["partial_transpose"] = max(worst["partial_transpose"], float(gap))
+        worst = max(worst, float(gap))
 
-    for op, gap in worst.items():
-        if gap > 1e-10:
-            failures.append(f"{op} disagrees with oracle by {gap:.3e}")
+    if worst > 1e-10:
+        failures.append(f"partial_transpose disagrees with oracle by {worst:.3e}")
     _report(9, "oracle equivalence", failures)
 
 

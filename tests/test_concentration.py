@@ -76,11 +76,11 @@ def test_bookkeeping_ratio_kind_m_is_d():
     rng = np.random.default_rng(107)
     for d in [2, 3, 4]:
         psi_mat = conc.random_schmidt_operator(d, rng)
-        res = conc.concentrate(psi_mat, "m")
+        raw_weight = conc.probability_consistency(psi_mat, "m")[0]
         # raw weight d^-3 gives ratio 1/(d^2 d^-3) = d, above 1: the raw
         # numbers are bookkeeping, not probabilities
-        assert abs(res.raw_weight - d ** -3) < 1e-9
-        assert abs(1.0 / (d**2 * res.raw_weight) - d) < 1e-6
+        assert abs(raw_weight - d ** -3) < 1e-9
+        assert abs(1.0 / (d**2 * raw_weight) - d) < 1e-6
 
 
 def test_probability_consistency_closed_form():
@@ -120,7 +120,7 @@ def _assert_matches_oracle(psi_mat, kind, tol=1e-10):
     assert np.max(np.abs(projector(res.output) - output)) < tol
     assert abs(res.probability - probability) < tol
     assert abs(res.fidelity_with_target - fidelity) < tol
-    assert abs(res.raw_weight - raw_weight) < tol
+    assert abs(conc.probability_consistency(psi_mat, kind)[0] - raw_weight) < tol
 
 
 def test_concentrate_matches_dense_oracle():

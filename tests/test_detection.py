@@ -45,6 +45,23 @@ def test_wiring_refuses_a_non_integer_by_its_field(copies, base_dims, slots, whe
     assert str(exc.value) == where
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (("W", [(0, 0, 1), (0, 1)]), "assignments[0].slots: expected a list of [copy, party] pairs"),
+        (("W", [(0, 0), 1]), "assignments[0].slots: expected a list of [copy, party] pairs"),
+        (("W",), "assignments[0]: expected (witness, slots[, param]), got 1 items"),
+        (("W", [(0, 0), (0, 1)], None, 2.0), "assignments[0]: expected (witness, slots[, param]), got 4 items"),
+    ],
+    ids=["triple_slot", "bare_int_slot", "one_item_entry", "four_item_entry"],
+)
+def test_wiring_refuses_a_misshapen_entry_by_its_field(entry, message):
+    # unpacking would raise Python's own "too many values to unpack", naming no field
+    with pytest.raises(ValueError) as exc:
+        detection.wiring(1, [2, 2], [entry])
+    assert str(exc.value) == message
+
+
 def test_wiring_accepts_numpy_integers():
     spec = detection.wiring(np.int64(1), np.array([2, 2]), [("W", np.array([[0, 0], [0, 1]]))])
     assert spec == detection.wiring(1, [2, 2], [("W", [(0, 0), (0, 1)])])

@@ -87,6 +87,14 @@ def test_check_and_threshold_refuse_the_same_slot_lists(slots, message):
         assert str(exc.value) == message
 
 
+def test_check_records_the_slots_it_transposed_from_a_one_pass_iterable():
+    # an iterator is spent once; the verdict must name the slots the transpose used
+    verdict = ppt.ppt_check(FAMILIES["werner_w"](0.0), [2, 2], iter([1]))
+    assert verdict.transposed_slots == (1,)
+    assert abs(verdict.min_eigenvalue + 0.5) < 1e-12
+    assert verdict.verdict == "npt_entangled"
+
+
 def test_threshold_on_a_sub_range_starts_from_its_positive_definite_end():
     # no end is the maximally mixed state; the positive definite end is
     # hi for werner_w and lo for werner_a

@@ -147,6 +147,21 @@ def test_min_product_expectation_rejects_a_shape_that_does_not_match_dims():
         witnesses.min_product_expectation(np.eye(1), [], 100, seed=0)
 
 
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ([2.9, 2.1], "dims[0]: expected an integer, got 2.9"),
+        ([True, 4], "dims[0]: expected an integer, got True"),
+    ],
+    ids=["float_dims", "bool_dim"],
+)
+def test_min_product_expectation_refuses_a_non_integer_dim(dims, message):
+    # int() would read [2.9, 2.1] as [2, 2], and [True, 4] as one 4-level party
+    with pytest.raises(ValueError) as exc:
+        witnesses.min_product_expectation(witnesses.catalog("W").matrix, dims, 100, seed=0)
+    assert str(exc.value) == message
+
+
 def test_min_product_expectation_rejects_a_non_hermitian_matrix():
     m = witnesses.catalog("W").matrix.copy()
     m[0, 1] += 1e-6
