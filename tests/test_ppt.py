@@ -95,6 +95,16 @@ def test_check_records_the_slots_it_transposed_from_a_one_pass_iterable():
     assert verdict.verdict == "npt_entangled"
 
 
+@pytest.mark.parametrize(
+    "slots", [(1,), np.array([1]), range(1, 2)], ids=["tuple", "numpy_array", "range"]
+)
+def test_check_records_its_slots_as_a_tuple_of_plain_ints(slots):
+    verdict = ppt.ppt_check(FAMILIES["werner_w"](0.0), [2, 2], slots)
+    assert verdict.transposed_slots == (1,)
+    assert type(verdict.transposed_slots[0]) is int
+    assert abs(verdict.min_eigenvalue + 0.5) < 1e-12
+
+
 def test_threshold_on_a_sub_range_starts_from_its_positive_definite_end():
     # no end is the maximally mixed state; the positive definite end is
     # hi for werner_w and lo for werner_a

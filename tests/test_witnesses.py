@@ -152,14 +152,21 @@ def test_min_product_expectation_rejects_a_shape_that_does_not_match_dims():
     [
         ([2.9, 2.1], "dims[0]: expected an integer, got 2.9"),
         ([True, 4], "dims[0]: expected an integer, got True"),
+        ([2, "2"], "dims[1]: expected an integer, got '2'"),
     ],
-    ids=["float_dims", "bool_dim"],
+    ids=["float_dims", "bool_dim", "string_dim"],
 )
 def test_min_product_expectation_refuses_a_non_integer_dim(dims, message):
     # int() would read [2.9, 2.1] as [2, 2], and [True, 4] as one 4-level party
     with pytest.raises(ValueError) as exc:
         witnesses.min_product_expectation(witnesses.catalog("W").matrix, dims, 100, seed=0)
     assert str(exc.value) == message
+
+
+def test_min_product_expectation_reads_numpy_integer_dims_as_their_values():
+    w = witnesses.catalog("W").matrix
+    want = witnesses.min_product_expectation(w, [2, 2], 100, seed=0)
+    assert witnesses.min_product_expectation(w, np.array([2, 2]), 100, seed=0) == want
 
 
 def test_min_product_expectation_rejects_a_non_hermitian_matrix():
