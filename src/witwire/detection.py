@@ -8,9 +8,10 @@ slots implicitly carry identity.  The expectation Tr(Wiring rho^(x)k)
 can then change sign where every single-copy witness expectation stays
 nonnegative, which is the whole point of the construction.
 
-``compile_wiring`` validates a wiring and builds, once, one block per
-copy where a witness ends: the product of the witnesses whose last
-copy that is, on the placed slots of that copy and the ones before it.
+A ``WiringSpec`` is valid by construction, so ``compile_wiring`` only
+builds, once, one block per copy where a witness ends: the product of
+the witnesses whose last copy that is, on the placed slots of that copy
+and the ones before it.
 The evaluator it returns reduces rho onto each copy's placed parties
 and sweeps the copies right to left, multiplying each copy's block in
 and contracting the copy out at once, so no rho^(x)k, no D x D object
@@ -70,73 +71,63 @@ class Assignment:
         return mat
 
 
+_SEQUENCE = (list, tuple, np.ndarray)
+
+
 @dataclass(frozen=True)
 class WiringSpec:
+    """Witnesses on (copy, party) slots of ``copies`` copies of a ``base_dims`` system.
+
+    Valid by construction, ``dataclasses.replace`` included: integer
+    copies, dims and slots (NumPy's too, never a float or a bool), copies
+    and dims >= 1, and in-range (copy, party) pairs, at least one per
+    assignment and no slot twice.  A refusal names its field, as
+    ``assignments[1].slots[0]``; the fields are stored as ints and tuples.
+    """
+
     copies: int
     base_dims: tuple[int, ...]
     assignments: tuple[Assignment, ...]
 
-    def flat_slot(self, copy: int, party: int) -> int:
-        n = len(self.base_dims)
-        if not 0 <= copy < self.copies:
-            raise ValueError(f"copy index {copy} out of range for {self.copies} copies")
-        if not 0 <= party < n:
-            raise ValueError(f"party index {party} out of range for {n} parties")
-        return copy * n + party
-
-    def validate(self) -> None:
-        if self.copies < 1:
-            raise ValueError(f"copies must be >= 1, got {self.copies}")
-        if not self.base_dims or min(self.base_dims) < 1:
-            raise ValueError(f"base_dims must be a non-empty list of dims >= 1, got {list(self.base_dims)}")
-        seen: set[int] = set()
-        for idx, asg in enumerate(self.assignments):
-            if not asg.slots:
-                raise ValueError(f"assignments[{idx}].slots: a witness needs at least one slot")
-            for copy, party in asg.slots:
-                flat = self.flat_slot(copy, party)
-                if flat in seen:
-                    raise ValueError(
-                        f"slot (copy={copy}, party={party}) assigned more than once"
-                    )
-                seen.add(flat)
-
-
-_SEQUENCE = (list, tuple, np.ndarray)
-
-
-def checked_slot_pairs(slots, where: str) -> tuple[tuple[int, int], ...]:
-    """``slots`` as (copy, party) int pairs; ``where`` names the list in a refusal.
-
-    The list and each slot in it must be a list, tuple or array, and
-    each slot a pair: a slot (0, 0, 1) is refused by ``where``, and a
-    non-integer index by ``where[i]``, rather than unpacked or truncated.
-    """
-    if not isinstance(slots, _SEQUENCE) or any(not isinstance(s, _SEQUENCE) or len(s) != 2 for s in slots):
-        raise ValueError(f"{where}: expected a list of [copy, party] pairs")
-    return tuple(tuple(checked_integer(v, f"{where}[{i}]") for v in s) for i, s in enumerate(slots))
+    def __post_init__(self) -> None:
+        copies = checked_integer(self.copies, "copies")
+        if copies < 1:
+            raise ValueError(f"copies: expected at least 1, got {copies}")
+        if not isinstance(self.base_dims, _SEQUENCE) or not len(self.base_dims):
+            raise ValueError(f"base_dims: expected a non-empty list of integers, got {self.base_dims!r}")
+        dims = tuple(checked_integer(d, f"base_dims[{i}]") for i, d in enumerate(self.base_dims))
+        if min(dims) < 1:
+            raise ValueError(f"base_dims: expected dims >= 1, got {list(dims)}")
+        n, seen, built = len(dims), set(), []
+        for j, asg in enumerate(self.assignments):
+            where, slots = f"assignments[{j}].slots", asg.slots
+            if not isinstance(slots, _SEQUENCE) or any(not isinstance(s, _SEQUENCE) or len(s) != 2 for s in slots):
+                raise ValueError(f"{where}: expected a list of [copy, party] pairs")
+            if not len(slots):
+                raise ValueError(f"{where}: a witness needs at least one slot")
+            pairs = tuple(tuple(checked_integer(v, f"{where}[{i}]") for v in s) for i, s in enumerate(slots))
+            for i, (copy, party) in enumerate(pairs):
+                if not (0 <= copy < copies and 0 <= party < n):
+                    raise ValueError(f"{where}[{i}]: slot ({copy}, {party}) out of range: {copies} copies, {n} parties")
+                if (copy, party) in seen:
+                    raise ValueError(f"{where}[{i}]: slot ({copy}, {party}) assigned more than once")
+                seen.add((copy, party))
+            built.append(Assignment(asg.witness, pairs, asg.param))
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "base_dims", dims)
+        object.__setattr__(self, "assignments", tuple(built))
 
 
-def wiring(
-    copies: int,
-    base_dims: Sequence[int],
-    assignments: Sequence[tuple],
-) -> WiringSpec:
+def wiring(copies: int, base_dims: Sequence[int], assignments: Sequence[tuple]) -> WiringSpec:
     """Convenience constructor from (witness, slots[, param]) tuples.
 
-    Copies, dims and slot indices must be integers, NumPy's included; a
-    float or a bool is refused by its field rather than truncated.  Each
-    entry has two or three items and each slot is a pair, as in a
-    scenario file.
+    Each entry must have two or three items, as in a scenario file;
+    ``WiringSpec`` checks the rest.
     """
-    built = []
     for j, entry in enumerate(assignments):
         if len(entry) not in (2, 3):
             raise ValueError(f"assignments[{j}]: expected (witness, slots[, param]), got {len(entry)} items")
-        wit, slots, param = entry if len(entry) == 3 else (*entry, None)
-        built.append(Assignment(wit, checked_slot_pairs(slots, f"assignments[{j}].slots"), param))
-    base_dims = tuple(checked_integer(d, f"base_dims[{i}]") for i, d in enumerate(base_dims))
-    return WiringSpec(checked_integer(copies, "copies"), base_dims, tuple(built))
+    return WiringSpec(copies, base_dims, tuple(Assignment(*entry) for entry in assignments))
 
 
 def _operator_product(
@@ -171,7 +162,7 @@ def _operator_product(
 
 
 def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
-    """Validate the wiring and build its witness blocks once; return ``rho -> Tr(W rho^(x)copies)``.
+    """Build the wiring's witness blocks once; return ``rho -> Tr(W rho^(x)copies)``.
 
     Only the placed slots get axes, taken in copy-major order, each
     copy's rows before its columns, copy by copy.  Each witness is
@@ -193,12 +184,11 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
     imaginary residue above 1e-9, because silently discarding it would
     mask a mis-assembled wiring.
     """
-    spec.validate()
     base_dims = list(spec.base_dims)
     base_total = math.prod(base_dims)
     n = len(base_dims)
     k = spec.copies
-    flats = [[spec.flat_slot(c, p) for c, p in asg.slots] for asg in spec.assignments]
+    flats = [[c * n + p for c, p in asg.slots] for asg in spec.assignments]
     placed = sorted(f for fs in flats for f in fs)
     position = {f: i for i, f in enumerate(placed)}
     dims = [base_dims[f % n] for f in placed]
@@ -485,8 +475,6 @@ def ordering_matrix(
     rho = family(param)
     table: dict[tuple, float] = {}
     for label, groups in orderings.items():
-        spec = wiring(copies, base_dims, [(None, g) for g in groups])  # integers checked once per label
         for combo in itertools.product(witness_names, repeat=len(groups)):
-            assignments = tuple(Assignment(name, a.slots) for name, a in zip(combo, spec.assignments))
-            table[(combo, label)] = expectation(WiringSpec(spec.copies, spec.base_dims, assignments), rho)
+            table[(combo, label)] = expectation(wiring(copies, base_dims, list(zip(combo, groups))), rho)
     return table

@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 
-from .detection import Assignment, DetectionReport, WiringSpec, checked_slot_pairs, expectation, sweep
+from .detection import Assignment, DetectionReport, WiringSpec, expectation, sweep
 from .linalg import checked_integer
 from .states import FAMILIES, FIXED_STATES
 from .witnesses import canonical_name
@@ -125,23 +125,12 @@ def _parse_wiring(obj: dict) -> WiringSpec:
     for idx, a in enumerate(obj["assignments"]):
         where = f"wiring.assignments[{idx}]"
         _require_keys(a, {"witness", "slots", "param"}, {"witness", "slots"}, where)
-        param = a.get("param")
-        assignments.append(
-            Assignment(
-                witness=str(a["witness"]),
-                slots=checked_slot_pairs(a["slots"], f"{where}.slots"),
-                param=None if param is None else _number(param, f"{where}.param"),
-            )
-        )
-    if not isinstance(obj["base_dims"], list):
-        raise ValueError("wiring.base_dims: expected a list of integers")
-    spec = WiringSpec(
-        copies=checked_integer(obj["copies"], "wiring.copies"),
-        base_dims=tuple(checked_integer(d, "wiring.base_dims") for d in obj["base_dims"]),
-        assignments=tuple(assignments),
-    )
-    spec.validate()
-    return spec
+        param = None if a.get("param") is None else _number(a["param"], f"{where}.param")
+        assignments.append(Assignment(str(a["witness"]), a["slots"], param))
+    try:
+        return WiringSpec(obj["copies"], obj["base_dims"], tuple(assignments))
+    except ValueError as exc:  # WiringSpec names the field; this adds where it sits
+        raise ValueError(f"wiring.{exc}") from None
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -18,13 +18,10 @@ from witwire.witnesses import catalog
 
 
 def test_wiring_slot_collision_rejected():
-    spec = detection.wiring(
-        2, [2, 2], [("W", [(0, 0), (0, 1)]), ("V", [(0, 1), (1, 1)])]
-    )
-    with pytest.raises(ValueError, match="assigned more than once"):
-        spec.validate()
-    with pytest.raises(ValueError, match="copy index"):
-        detection.wiring(1, [2, 2], [("W", [(0, 0), (1, 1)])]).validate()
+    with pytest.raises(ValueError, match=r"assignments\[1\]\.slots\[0\]: slot \(0, 1\) assigned more than once"):
+        detection.wiring(2, [2, 2], [("W", [(0, 0), (0, 1)]), ("V", [(0, 1), (1, 1)])])
+    with pytest.raises(ValueError, match=r"assignments\[0\]\.slots\[1\]: slot \(1, 1\) out of range"):
+        detection.wiring(1, [2, 2], [("W", [(0, 0), (1, 1)])])
 
 
 @pytest.mark.parametrize(
@@ -70,17 +67,39 @@ def test_wiring_accepts_numpy_integers():
 
 @pytest.mark.parametrize("base_dims", [[], [0], [-2], [2, 0]])
 def test_wiring_with_malformed_base_dims_rejected(base_dims):
-    spec = detection.wiring(1, base_dims, [])
     with pytest.raises(ValueError, match="base_dims"):
-        spec.validate()
+        detection.wiring(1, base_dims, [])
 
 
 def test_assignment_without_slots_rejected():
-    spec = detection.wiring(2, [2, 2], [("W", [(0, 0), (1, 1)]), (np.eye(1), [])])
     with pytest.raises(ValueError, match=r"assignments\[1\]\.slots"):
-        spec.validate()
-    with pytest.raises(ValueError, match=r"assignments\[1\]\.slots"):
-        detection.compile_wiring(spec)
+        detection.wiring(2, [2, 2], [("W", [(0, 0), (1, 1)]), (np.eye(1), [])])
+
+
+def test_a_replaced_or_directly_built_spec_is_checked_too():
+    spec = detection.wiring(2, [2, 2], [("W", [(0, 0), (1, 1)])])
+    with pytest.raises(ValueError, match=r"^assignments\[0\]\.slots\[1\]: slot \(2, 1\) out of range"):
+        replace(spec, assignments=(detection.Assignment("W", ((0, 0), (2, 1))),))
+    with pytest.raises(ValueError, match=r"^copies: expected at least 1, got 0"):
+        replace(spec, copies=0)
+    with pytest.raises(ValueError, match=r"^assignments\[0\]\.slots\[1\]: slot \(0, 0\) assigned more than once"):
+        detection.WiringSpec(1, (2, 2), (detection.Assignment("W", ((0, 0), (0, 0))),))
+    built = detection.WiringSpec(np.int64(2), [2, 2], [detection.Assignment("W", [[0, 0], [1, 1]])])
+    assert built == spec and isinstance(built.base_dims, tuple)
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        (((0, 0), (1, 0.5)), r"^assignments\[0\]\.slots\[1\]: expected an integer, got 0\.5$"),
+        (((0, 0), (2, 1)), r"^assignments\[0\]\.slots\[1\]: slot \(2, 1\) out of range"),
+    ],
+    ids=["float_slot", "out_of_range_slot"],
+)
+def test_ordering_matrix_refuses_a_bad_slot_by_its_field(group, message):
+    orderings = {"bad": [group, ((0, 1), (1, 1))]}
+    with pytest.raises(ValueError, match=message):
+        detection.ordering_matrix(("W1", "W2"), FAMILIES["werner_w"], 0.2, 2, (2, 2), orderings)
 
 
 def test_expectation_known_cross_value():

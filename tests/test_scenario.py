@@ -88,10 +88,10 @@ def test_version_gate():
         sc.parse_scenario(json.dumps(raw))
 
 
-# through int(), each edit of ex3_cyclic but copies_bool reads as a valid
-# scenario (slot (0, 0), 3 copies, version 1, 10 points, base dims
-# [2, 2], seed 20240817); true reads as 1 copy and fails on a slot's
-# copy index instead of on the field that is wrong
+# through int(), each edit of ex3_cyclic but copies_bool would read as a
+# valid scenario (slot (0, 0), 3 copies, version 1, 10 points, base dims
+# [2, 2], seed 20240817); true would read as 1 copy and fail on a slot
+# instead of on the field that is wrong
 NON_INTEGER_FIELDS = {
     "slot": (("wiring", "assignments", 0, "slots", 0, 1), 0.9, r"assignments\[0\]\.slots\[0\]"),
     "copies": (("wiring", "copies"), 3.7, r"wiring\.copies"),
@@ -116,6 +116,36 @@ def _edited(name, path, value):
 def test_parse_rejects_a_non_integer(field):
     path, value, where = NON_INTEGER_FIELDS[field]
     with pytest.raises(ValueError, match=where + r".*expected an integer"):
+        sc.parse_scenario(_edited("ex3_cyclic", path, value))
+
+
+@pytest.mark.parametrize(
+    "index, slot, message",
+    [
+        (0, [5, 0], r"^wiring\.assignments\[0\]\.slots\[0\]: slot \(5, 0\) out of range: 3 copies, 2 parties$"),
+        (1, [0, 0], r"^wiring\.assignments\[0\]\.slots\[1\]: slot \(0, 0\) assigned more than once$"),
+    ],
+    ids=["out_of_range", "repeated"],
+)
+def test_parse_names_the_field_of_a_bad_slot(index, slot, message):
+    # the wiring's own rule refuses the slot, and the parser says where it sits
+    with pytest.raises(ValueError, match=message):
+        sc.parse_scenario(_edited("ex3_cyclic", ("wiring", "assignments", 0, "slots", index), slot))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("wiring", "copies"), 0, r"^wiring\.copies: expected at least 1, got 0$"),
+        (("wiring", "base_dims"), "22", r"^wiring\.base_dims: expected a non-empty list of integers"),
+        (("wiring", "base_dims"), [2, 0], r"^wiring\.base_dims: expected dims >= 1"),
+        (("wiring", "assignments", 0, "slots"), [], r"^wiring\.assignments\[0\]\.slots: a witness needs"),
+        (("wiring", "assignments", 0, "slots"), [[0, 0, 1]], r"^wiring\.assignments\[0\]\.slots: expected a list"),
+    ],
+    ids=["zero_copies", "string_dims", "zero_dim", "no_slots", "triple_slot"],
+)
+def test_parse_names_the_field_of_a_bad_wiring(path, value, message):
+    with pytest.raises(ValueError, match=message):
         sc.parse_scenario(_edited("ex3_cyclic", path, value))
 
 
