@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from pathlib import PurePath
 
 from .detection import Assignment, DetectionReport, WiringSpec, expectation, sweep
 from .linalg import checked_integer
@@ -89,6 +90,8 @@ def _number(value, where: str) -> float:
 def _parse_family(obj: dict) -> FamilyRef:
     _require_keys(obj, {"name", "value", "start", "stop", "points"}, {"name"}, "family")
     name = obj["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"family.name: expected a string, got {name!r}")
     has_value = "value" in obj
     has_grid = any(k in obj for k in ("start", "stop", "points"))
     if has_value and has_grid:
@@ -154,20 +157,32 @@ def parse_scenario(text: str) -> Scenario:
         _require_keys(wp, {"witness", "name", "values"}, {"witness", "name", "values"}, "witness_param")
         if not isinstance(wp["values"], list) or not wp["values"]:
             raise ValueError("witness_param.values: expected a non-empty list")
+        name, fam = str(wp["name"]), FAMILIES.get(family.name)
+        if name in ("points", "thresholds", "value", fam and fam.param_name):
+            raise ValueError(f"witness_param.name: {name!r} names a field of the sweep's output")
         witness_param = WitnessParam(
             witness=str(wp["witness"]),
-            name=str(wp["name"]),
+            name=name,
             values=tuple(
                 _number(v, f"witness_param.values[{i}]") for i, v in enumerate(wp["values"])
             ),
         )
-    outputs = []
-    for idx, sink in enumerate(obj.get("outputs", [])):
+    sinks, outputs, paths = obj.get("outputs", []), [], set()
+    if not isinstance(sinks, list):
+        raise ValueError(f"outputs: expected a list of sinks, got {sinks!r}")
+    for idx, sink in enumerate(sinks):
         where = f"outputs[{idx}]"
         _require_keys(sink, {"format", "path"}, {"format", "path"}, where)
         if sink["format"] not in ("csv", "json"):
             raise ValueError(f"{where}.format: expected 'csv' or 'json', got {sink['format']!r}")
-        outputs.append(OutputSink(format=str(sink["format"]), path=str(sink["path"])))
+        # a sink writes under the output directory, and to a file no other sink writes
+        path = PurePath(sink["path"]) if isinstance(sink["path"], str) else None
+        if path is None or not path.parts or path.anchor or ".." in path.parts:
+            raise ValueError(f"{where}.path: expected a relative file path without '..', got {sink['path']!r}")
+        if path in paths:
+            raise ValueError(f"{where}.path: {sink['path']!r} is already written by an earlier sink")
+        paths.add(path)
+        outputs.append(OutputSink(format=str(sink["format"]), path=sink["path"]))
     return Scenario(
         version=SCENARIO_VERSION,
         name=str(obj["name"]),

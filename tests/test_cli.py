@@ -127,6 +127,37 @@ def test_sweep_bad_scenario_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("family", {"name": ["werner_a"]}, "family.name: expected a string, got ['werner_a']"),
+        ("outputs", 5, "outputs: expected a list of sinks, got 5"),
+    ],
+    ids=["family_name_list", "outputs_int"],
+)
+def test_sweep_names_a_misshapen_field_and_exits_2(key, value, message, tmp_path, capsys):
+    # a list name is unhashable and an int is not iterable: both ended in a TypeError traceback
+    scenario = json.loads(Path(shipped_path("ex4_p_w3")).read_text(encoding="utf-8"))
+    scenario[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code = cli.main(["sweep", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_refuses_a_sink_outside_out_and_writes_nothing(tmp_path, capsys):
+    scenario = json.loads(Path(shipped_path("ex4_p_w3")).read_text(encoding="utf-8"))
+    scenario["outputs"][0]["path"] = str(tmp_path / "escaped.csv")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code = cli.main(["sweep", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "outputs[0].path: expected a relative file path" in capsys.readouterr().err
+    assert not (tmp_path / "escaped.csv").exists() and not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_a_nan_witness_parameter(tmp_path, capsys):
     # Python's json reads the NaN literal; at a fixed state there is no grid to catch it
     path = tmp_path / "nan.json"

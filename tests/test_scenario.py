@@ -167,6 +167,56 @@ def test_parse_rejects_a_non_number(field):
         sc.parse_scenario(_edited(name, path, value))
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("family", "name"), ["werner_w"], r"^family\.name: expected a string, got \['werner_w'\]$"),
+        (("outputs",), 5, r"^outputs: expected a list of sinks, got 5$"),
+        (("outputs",), {"format": "csv", "path": "x.csv"}, r"^outputs: expected a list of sinks"),
+    ],
+    ids=["family_name_list", "outputs_int", "outputs_object"],
+)
+def test_parse_refuses_a_misshapen_name_or_outputs_by_its_field(path, value, message):
+    # a list name is unhashable and an int is not iterable: both used to raise a TypeError
+    with pytest.raises(ValueError, match=message):
+        sc.parse_scenario(_edited("ex4_pb_w3", path, value))
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        (["/tmp/x.csv", "x.json"], r"^outputs\[0\]\.path: expected a relative file path without '\.\.', got '/tmp/x\.csv'$"),
+        (["x.csv", "../x.json"], r"^outputs\[1\]\.path: expected a relative file path"),
+        (["sub/../../x.csv", "x.json"], r"^outputs\[0\]\.path: expected a relative file path"),
+        (["", "x.json"], r"^outputs\[0\]\.path: expected a relative file path"),
+        ([3, "x.json"], r"^outputs\[0\]\.path: expected a relative file path"),
+        (["x.out", "x.out"], r"^outputs\[1\]\.path: 'x\.out' is already written by an earlier sink$"),
+        (["x.out", "./x.out"], r"^outputs\[1\]\.path: '\./x\.out' is already written by an earlier sink$"),
+    ],
+    ids=["absolute", "parent", "parent_inside", "empty", "not_a_string", "repeated", "repeated_spelled_apart"],
+)
+def test_parse_refuses_a_sink_path_that_would_lose_or_misplace_a_file(paths, message):
+    raw = _shipped("ex4_pb_w3")
+    for sink, path in zip(raw["outputs"], paths):
+        sink["path"] = path
+    with pytest.raises(ValueError, match=message):
+        sc.parse_scenario(json.dumps(raw))
+
+
+def test_parse_accepts_sink_paths_in_a_subdirectory():
+    raw = _shipped("ex4_pb_w3")
+    raw["outputs"][0]["path"] = "tables/ex4.csv"
+    raw["outputs"][1]["path"] = "./tables/ex4.json"
+    assert [o.path for o in sc.parse_scenario(json.dumps(raw)).outputs] == ["tables/ex4.csv", "./tables/ex4.json"]
+
+
+@pytest.mark.parametrize("name", ["points", "thresholds", "value", "a"])
+def test_witness_param_name_may_not_overwrite_an_output_field(name):
+    # "points" overwrote each sweep entry's b in the JSON; "a" made the CSV header a,a,value
+    with pytest.raises(ValueError, match=rf"^witness_param\.name: '{name}' names a field of the sweep's output$"):
+        sc.parse_scenario(_edited("ex4_pb_w3", ("witness_param", "name"), name))
+
+
 def test_run_point_scenarios():
     run = sc.run_scenario(load_scenario("ex1_cross"))
     assert run.kind == "point"
