@@ -70,9 +70,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sinks = tuple(s for s in sinks if s.format == args.format)
     if sinks:
         outdir = Path(args.out) if args.out else Path(".")
-        outdir.mkdir(parents=True, exist_ok=True)
         for sink in sinks:
             path = outdir / sink.path
+            path.parent.mkdir(parents=True, exist_ok=True)  # a sink path may name a subdirectory
             path.write_text(rendered[sink.format](run), encoding="utf-8")
             print(f"wrote {path}")
     else:

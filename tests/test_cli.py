@@ -158,6 +158,16 @@ def test_sweep_refuses_a_sink_outside_out_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "escaped.csv").exists() and not (tmp_path / "out").exists()
 
 
+def test_sweep_writes_a_sink_into_a_subdirectory_of_out(tmp_path, capsys):
+    scenario = json.loads(Path(shipped_path("ex4_p_w3")).read_text(encoding="utf-8"))
+    scenario["outputs"][1]["path"] = "tables/ex4.json"
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "tables" / "ex4.json").read_text(encoding="utf-8"))["kind"] == "sweep"
+    assert (tmp_path / "out" / "ex4_p_w3.csv").exists()
+
+
 def test_sweep_rejects_a_nan_witness_parameter(tmp_path, capsys):
     # Python's json reads the NaN literal; at a fixed state there is no grid to catch it
     path = tmp_path / "nan.json"
