@@ -17,7 +17,6 @@ states.
 from .detection import (
     Assignment,
     WiringSpec,
-    closed_form,
     compile_wiring,
     expectation,
     ordering_matrix,
@@ -41,7 +40,6 @@ __all__ = [
     "WiringSpec",
     "catalog",
     "catalog_names",
-    "closed_form",
     "compile_wiring",
     "concentrate",
     "expectation",

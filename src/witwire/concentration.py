@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_DIM, check_local_dimension, condition_number, dagger, inverse
-from .states import check_schmidt_operator
+from .linalg import MAX_DIM, TRACE_TOL, check_local_dimension, condition_number, dagger, inverse, square
 
 CONDITION_CAP = 1e2
 
@@ -45,6 +44,21 @@ class ConcentrationResult:
     output: np.ndarray  # normalized (A, B') ket, d^2 amplitudes, A most significant
     probability: float
     fidelity_with_target: float
+
+
+def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
+    """Psi as a finite d x d complex array, d >= 2, with Tr(Psi^dag Psi) = 1 within TRACE_TOL.
+
+    Finiteness comes before any product, so NaN or inf never reaches one.
+    """
+    psi_mat = square(psi_mat)
+    if not np.isfinite(psi_mat).all():
+        raise ValueError("Psi has non-finite entries")
+    check_local_dimension(psi_mat.shape[0])
+    norm2 = float(np.vdot(psi_mat, psi_mat).real)
+    if not abs(norm2 - 1.0) <= TRACE_TOL:
+        raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within {TRACE_TOL:.0e}")
+    return psi_mat
 
 
 def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:

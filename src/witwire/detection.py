@@ -271,62 +271,6 @@ def expectation(spec: WiringSpec, rho: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form expectation values, used as independent cross-checks of the
-# dense evaluation.  Names describe the wiring they belong to.
-
-def _three_copy_cyclic(w: float) -> float:
-    # cyclic W1/W2/W3 wiring on three copies of werner_w
-    return (
-        2.0 * ((2.0 - w) / 4.0) ** 3
-        - 4.0 * ((1.0 - w) / 2.0) ** 3
-        + 6.0 * w * (2.0 - w) ** 2 / 64.0
-        + 6.0 * w**2 * (2.0 - w) / 64.0
-        + 2.0 * w**3 / 64.0
-    )
-
-
-def _p_w3_cross(a: float) -> float:
-    # P on the (A, B') pair and W3 on (B, A'), two copies of werner_a
-    return (3.0 - 5.0 * a**2) / 4.0
-
-
-def _pb_w3_cross(a: float, b: float) -> float:
-    if not 1.0 <= b < math.inf:  # negated, so NaN fails too
-        raise ValueError(f"tuning parameter b must be finite and >= 1, got {b}")
-    return ((1.0 - 6.0 * b) * a**2 + 2.0 * b + 1.0) / (16.0 * b)
-
-
-def _noisy_w_projector(c: float) -> float:
-    # single-copy expectation of the WW1 witness on noisy_w
-    return 7.0 * c / 8.0 - 1.0 / 3.0
-
-
-CLOSED_FORMS: dict[str, Callable[..., float]] = {
-    "three_copy_cyclic": _three_copy_cyclic,
-    "p_w3_cross": _p_w3_cross,
-    "pb_w3_cross": _pb_w3_cross,
-    "noisy_w_projector": _noisy_w_projector,
-}
-
-
-def closed_form(name: str, param: float, b: float | None = None) -> float:
-    """Evaluate a named closed-form expectation polynomial."""
-    try:
-        fn = CLOSED_FORMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown closed form {name!r}; known: {', '.join(sorted(CLOSED_FORMS))}"
-        ) from None
-    if name == "pb_w3_cross":
-        if b is None:
-            raise ValueError("closed form 'pb_w3_cross' requires b")
-        return fn(float(param), float(b))
-    if b is not None:
-        raise ValueError(f"closed form {name!r} takes no b parameter")
-    return fn(float(param))
-
-
-# ---------------------------------------------------------------------------
 # Threshold location and parameter sweeps.
 
 # Sweep roots this close (a fraction of the range) merge: rounding splits m-fold ones by eps**(1/m).

@@ -42,6 +42,38 @@ def shipped_scenario_names() -> list[str]:
     return sorted(names)
 
 
+# Closed-form expectation values of the worked examples' wirings, written
+# out by hand: the independent side of each closed-form gap check.
+
+
+def three_copy_cyclic(w: float) -> float:
+    """Cyclic W1/W2/W3 wiring on three copies of werner_w."""
+    return (
+        2.0 * ((2.0 - w) / 4.0) ** 3
+        - 4.0 * ((1.0 - w) / 2.0) ** 3
+        + 6.0 * w * (2.0 - w) ** 2 / 64.0
+        + 6.0 * w**2 * (2.0 - w) / 64.0
+        + 2.0 * w**3 / 64.0
+    )
+
+
+def p_w3_cross(a: float) -> float:
+    """P on the (A, B') pair and W3 on (B, A'), two copies of werner_a."""
+    return (3.0 - 5.0 * a**2) / 4.0
+
+
+def pb_w3_cross(a: float, b: float) -> float:
+    """P_b on the (A, B') pair and W3 on (B, A'), two copies of werner_a."""
+    if not 1.0 <= b < math.inf:  # negated, so NaN fails too
+        raise ValueError(f"tuning parameter b must be finite and >= 1, got {b}")
+    return ((1.0 - 6.0 * b) * a**2 + 2.0 * b + 1.0) / (16.0 * b)
+
+
+def noisy_w_projector(c: float) -> float:
+    """Single-copy expectation of the WW1 witness on noisy_w."""
+    return 7.0 * c / 8.0 - 1.0 / 3.0
+
+
 def _eq(name: str, value: float, expected: float, tol: float) -> dict:
     return {
         "name": name,
@@ -140,7 +172,7 @@ def _ex3(seed: int) -> tuple[list[dict], list[str]]:
         ),
     ]
     family = FAMILIES["werner_w"]
-    gap = _max_gap(report, lambda w: detection.closed_form("three_copy_cyclic", w))
+    gap = _max_gap(report, three_copy_cyclic)
     checks.append(_limit("closed_form_max_gap", gap, 1e-8))
     names = ("W1", "W2", "W3")
     single_min = _sweep_min(names, family, 1, (2, 2), [((0, 0), (0, 1))])
@@ -168,7 +200,7 @@ def _ex4(seed: int) -> tuple[list[dict], list[str]]:
     checks = [
         _eq("p_w3_threshold", _single_threshold(report, "ex4_p_w3"), math.sqrt(3.0 / 5.0), 1e-12),
     ]
-    gap = _max_gap(report, lambda a: detection.closed_form("p_w3_cross", a))
+    gap = _max_gap(report, p_w3_cross)
     checks.append(_limit("closed_form_max_gap", gap, 1e-8))
 
     run_b = run_scenario(load_scenario("ex4_pb_w3"))
@@ -178,7 +210,7 @@ def _ex4(seed: int) -> tuple[list[dict], list[str]]:
         checks.append(
             _eq(f"pb_threshold_b_{b:g}", _single_threshold(rep, f"ex4_pb_w3 b={b:g}"), expected_root, 1e-12)
         )
-        gap_b = max(gap_b, _max_gap(rep, lambda a: detection.closed_form("pb_w3_cross", a, b=b)))
+        gap_b = max(gap_b, _max_gap(rep, lambda a: pb_w3_cross(a, b)))
     checks.append(_limit("pb_closed_form_max_gap", gap_b, 1e-8))
 
     single = detection.wiring(1, (2, 2), [("W3", [(0, 0), (0, 1)])])
@@ -215,7 +247,7 @@ def _ex5(seed: int) -> tuple[list[dict], list[str]]:
     checks.append(
         _eq("ww1_threshold", _single_threshold(rep_ww1, "ex5_ww1"), 8.0 / 21.0, 1e-12)
     )
-    gap = _max_gap(rep_ww1, lambda c: detection.closed_form("noisy_w_projector", c))
+    gap = _max_gap(rep_ww1, noisy_w_projector)
     checks.append(_limit("ww1_closed_form_max_gap", gap, 1e-8))
     return checks, notes
 

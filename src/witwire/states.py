@@ -1,8 +1,8 @@
 """State catalog: fixed states and one-parameter families.
 
 Pure states are complex vectors, density operators are matrices; both
-follow the slot convention of the multipartite module (leftmost ket
-label = slot 0 = most significant index).
+follow the slot convention of the ppt module (leftmost ket label =
+slot 0 = most significant index).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TRACE_TOL, check_local_dimension, check_operator, square
+from .linalg import check_local_dimension, check_operator
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -81,21 +81,6 @@ _PSI_MINUS = _frozen(projector(bell("psi_minus")))
 _W = _frozen(projector(w_state()))
 _MIXED4 = _frozen(np.eye(4, dtype=complex) / 4.0)
 _MIXED8 = _frozen(np.eye(8, dtype=complex) / 8.0)
-
-
-def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
-    """Psi as a finite d x d complex array, d >= 2, with Tr(Psi^dag Psi) = 1 within TRACE_TOL.
-
-    Finiteness comes before any product, so NaN or inf never reaches one.
-    """
-    psi_mat = square(psi_mat)
-    if not np.isfinite(psi_mat).all():
-        raise ValueError("Psi has non-finite entries")
-    check_local_dimension(psi_mat.shape[0])
-    norm2 = float(np.vdot(psi_mat, psi_mat).real)
-    if not abs(norm2 - 1.0) <= TRACE_TOL:
-        raise ValueError(f"Tr(Psi^dag Psi) = {norm2!r}, expected 1 within {TRACE_TOL:.0e}")
-    return psi_mat
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .linalg import EIG_TOL, PAULI_X, PAULI_Y, PAULI_Z, check_hermitian, check_operator, checked_integer
 from .linalg import hermitian_eig
-from .multipartite import partial_transpose
+from .ppt import partial_transpose
 from .states import bell, projector, w_state
 
 PRODUCT_FLOOR = -1e-9

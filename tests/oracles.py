@@ -1,6 +1,6 @@
 """Slow reference implementations used to cross-check the fast paths.
 
-The multipartite and wiring oracles walk explicit multi-indices one
+The partial-transpose and wiring oracles walk explicit multi-indices one
 matrix entry at a time, so none of them shares code
 (reshape/einsum/kron) with the library under test.  Keep the systems tiny; these are
 quadratic in the full dimension with Python-level loops.

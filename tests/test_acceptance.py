@@ -14,8 +14,8 @@ import numpy as np
 
 from witwire import cli, detection, ppt
 from witwire.concentration import concentrate, probability_consistency, random_schmidt_operator
-from witwire.multipartite import partial_transpose
-from witwire.reproduce import load_scenario, reproduce
+from witwire.ppt import partial_transpose
+from witwire.reproduce import load_scenario, reproduce, three_copy_cyclic
 from witwire.scenario import run_scenario
 from witwire.states import FAMILIES, FIXED_STATES, sigma_imaginarity
 from witwire.witnesses import catalog, min_product_expectation
@@ -109,7 +109,7 @@ def test_03_example_three_cyclic_wiring():
     poly_gap = max(
         abs(
             detection.expectation(scen.wiring, family(float(w)))
-            - detection.closed_form("three_copy_cyclic", float(w))
+            - three_copy_cyclic(float(w))
         )
         for w in grid
     )

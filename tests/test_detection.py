@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import expectation_oracle, sign_change_oracle
 from witwire import detection
-from witwire.reproduce import load_scenario, shipped_scenario_names
+from witwire.reproduce import load_scenario, noisy_w_projector, p_w3_cross, pb_w3_cross, shipped_scenario_names
+from witwire.reproduce import three_copy_cyclic
 from witwire.scenario import _with_witness_param, round15, threshold_dict
 from witwire.states import FAMILIES, FIXED_STATES, StateFamily
 from witwire.witnesses import catalog
@@ -135,7 +136,7 @@ def test_closed_forms_match_dense_traces():
     fam = FAMILIES["werner_w"]
     for w in (0.0, 0.17, 0.5, 0.99):
         dense = detection.expectation(cyclic, fam(w))
-        assert abs(dense - detection.closed_form("three_copy_cyclic", w)) < 1e-10
+        assert abs(dense - three_copy_cyclic(w)) < 1e-10
 
     pw3 = detection.wiring(
         2, [2, 2], [("P", [(0, 0), (1, 1)]), ("W3", [(0, 1), (1, 0)])]
@@ -143,7 +144,7 @@ def test_closed_forms_match_dense_traces():
     fam_a = FAMILIES["werner_a"]
     for a in (0.0, 0.3, 0.9):
         dense = detection.expectation(pw3, fam_a(a))
-        assert abs(dense - detection.closed_form("p_w3_cross", a)) < 1e-10
+        assert abs(dense - p_w3_cross(a)) < 1e-10
         assert abs(dense - (3.0 - 5.0 * a * a) / 4.0) < 1e-10
 
     for b in (1.0, 7.0):
@@ -152,30 +153,21 @@ def test_closed_forms_match_dense_traces():
         )
         for a in (0.1, 0.6):
             dense = detection.expectation(pb, fam_a(a))
-            assert abs(dense - detection.closed_form("pb_w3_cross", a, b=b)) < 1e-10
+            assert abs(dense - pb_w3_cross(a, b)) < 1e-10
 
     fam_c = FAMILIES["noisy_w"]
     ww1 = detection.wiring(1, [2, 2, 2], [("WW1", [(0, 0), (0, 1), (0, 2)])])
     for c in (0.0, 0.4, 1.0):
         dense = detection.expectation(ww1, fam_c(c))
-        assert abs(dense - detection.closed_form("noisy_w_projector", c)) < 1e-10
+        assert abs(dense - noisy_w_projector(c)) < 1e-10
         assert abs(dense - (7.0 * c / 8.0 - 1.0 / 3.0)) < 1e-12
-
-
-def test_closed_form_argument_handling():
-    with pytest.raises(ValueError):
-        detection.closed_form("no_such_form", 0.5)
-    with pytest.raises(ValueError):
-        detection.closed_form("pb_w3_cross", 0.5)  # b required
-    with pytest.raises(ValueError):
-        detection.closed_form("three_copy_cyclic", 0.5, b=2.0)  # b rejected
 
 
 @pytest.mark.parametrize("b", [float("nan"), float("inf"), 0.5])
 def test_pb_w3_cross_rejects_a_b_outside_its_range(b):
     # NaN fails every comparison, so only a negated bound turns it away
     with pytest.raises(ValueError, match="finite and >= 1"):
-        detection.closed_form("pb_w3_cross", 0.5, b=b)
+        pb_w3_cross(0.5, b)
 
 
 def test_sweep_finds_the_werner_a_root():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from witwire import linalg
-from witwire.multipartite import check_density_matrix
+from witwire.ppt import check_density_matrix
 
 
 def random_hermitian(rng, n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from witwire import ppt
-from witwire.multipartite import partial_transpose
+from witwire.ppt import partial_transpose
 from witwire.states import FAMILIES, bell, projector
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from oracles import FAMILY_ORACLES
 from witwire import states
-from witwire.multipartite import check_density_matrix
+from witwire.concentration import check_schmidt_operator
+from witwire.ppt import check_density_matrix
 
 
 def test_bell_psi_plus_any_dimension():
@@ -157,7 +158,7 @@ def test_shared_states_are_read_only_and_families_return_fresh_arrays():
 @pytest.mark.parametrize("d", [0, 1])
 @pytest.mark.parametrize(
     "entry",
-    [lambda d: states.bell("psi_plus", d), lambda d: states.check_schmidt_operator(np.eye(d))],
+    [lambda d: states.bell("psi_plus", d), lambda d: check_schmidt_operator(np.eye(d))],
     ids=["bell", "check_schmidt_operator"],
 )
 def test_local_dimension_rule_has_one_message(entry, d):
