@@ -87,11 +87,16 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _string(value, where: str) -> str:
+    # str() would read ["ex4"] as "['ex4']" and write that into the outputs
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def _parse_family(obj: dict) -> FamilyRef:
     _require_keys(obj, {"name", "value", "start", "stop", "points"}, {"name"}, "family")
-    name = obj["name"]
-    if not isinstance(name, str):
-        raise ValueError(f"family.name: expected a string, got {name!r}")
+    name = _string(obj["name"], "family.name")
     has_value = "value" in obj
     has_grid = any(k in obj for k in ("start", "stop", "points"))
     if has_value and has_grid:
@@ -129,7 +134,7 @@ def _parse_wiring(obj: dict) -> WiringSpec:
         where = f"wiring.assignments[{idx}]"
         _require_keys(a, {"witness", "slots", "param"}, {"witness", "slots"}, where)
         param = None if a.get("param") is None else _number(a["param"], f"{where}.param")
-        assignments.append(Assignment(str(a["witness"]), a["slots"], param))
+        assignments.append(Assignment(_string(a["witness"], f"{where}.witness"), a["slots"], param))
     try:
         return WiringSpec(obj["copies"], obj["base_dims"], tuple(assignments))
     except ValueError as exc:  # WiringSpec names the field; this adds where it sits
@@ -157,11 +162,11 @@ def parse_scenario(text: str) -> Scenario:
         _require_keys(wp, {"witness", "name", "values"}, {"witness", "name", "values"}, "witness_param")
         if not isinstance(wp["values"], list) or not wp["values"]:
             raise ValueError("witness_param.values: expected a non-empty list")
-        name, fam = str(wp["name"]), FAMILIES.get(family.name)
+        name, fam = _string(wp["name"], "witness_param.name"), FAMILIES.get(family.name)
         if name in ("points", "thresholds", "value", fam and fam.param_name):
             raise ValueError(f"witness_param.name: {name!r} names a field of the sweep's output")
         witness_param = WitnessParam(
-            witness=str(wp["witness"]),
+            witness=_string(wp["witness"], "witness_param.witness"),
             name=name,
             values=tuple(
                 _number(v, f"witness_param.values[{i}]") for i, v in enumerate(wp["values"])
@@ -182,10 +187,10 @@ def parse_scenario(text: str) -> Scenario:
         if path in paths:
             raise ValueError(f"{where}.path: {sink['path']!r} is already written by an earlier sink")
         paths.add(path)
-        outputs.append(OutputSink(format=str(sink["format"]), path=sink["path"]))
+        outputs.append(OutputSink(format=sink["format"], path=sink["path"]))
     return Scenario(
         version=SCENARIO_VERSION,
-        name=str(obj["name"]),
+        name=_string(obj["name"], "name"),
         seed=checked_integer(obj["seed"], "seed"),
         family=family,
         wiring=wiring,

@@ -128,17 +128,25 @@ def test_sweep_bad_scenario_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value, message",
+    "keys, value, message",
     [
-        ("family", {"name": ["werner_a"]}, "family.name: expected a string, got ['werner_a']"),
-        ("outputs", 5, "outputs: expected a list of sinks, got 5"),
+        (("family",), {"name": ["werner_a"]}, "family.name: expected a string, got ['werner_a']"),
+        (("outputs",), 5, "outputs: expected a list of sinks, got 5"),
+        (("name",), ["ex4"], "name: expected a string, got ['ex4']"),
+        (("wiring", "assignments", 0, "witness"), ["P_b"], "wiring.assignments[0].witness: expected a string, got ['P_b']"),
+        (("witness_param", "witness"), ["P_b"], "witness_param.witness: expected a string, got ['P_b']"),
+        (("witness_param", "name"), ["b"], "witness_param.name: expected a string, got ['b']"),
     ],
-    ids=["family_name_list", "outputs_int"],
+    ids=["family_name_list", "outputs_int", "name_list", "witness_list", "param_witness_list", "param_name_list"],
 )
-def test_sweep_names_a_misshapen_field_and_exits_2(key, value, message, tmp_path, capsys):
-    # a list name is unhashable and an int is not iterable: both ended in a TypeError traceback
-    scenario = json.loads(Path(shipped_path("ex4_p_w3")).read_text(encoding="utf-8"))
-    scenario[key] = value
+def test_sweep_names_a_misshapen_field_and_exits_2(keys, value, message, tmp_path, capsys):
+    # a list family name is unhashable and an int is not iterable: both ended in a TypeError
+    # traceback; the other names went through str() and were written as "['ex4']"
+    scenario = json.loads(Path(shipped_path("ex4_pb_w3")).read_text(encoding="utf-8"))
+    target = scenario
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
     code = cli.main(["sweep", str(path), "--out", str(tmp_path / "out")])

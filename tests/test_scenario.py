@@ -173,11 +173,17 @@ def test_parse_rejects_a_non_number(field):
         (("family", "name"), ["werner_w"], r"^family\.name: expected a string, got \['werner_w'\]$"),
         (("outputs",), 5, r"^outputs: expected a list of sinks, got 5$"),
         (("outputs",), {"format": "csv", "path": "x.csv"}, r"^outputs: expected a list of sinks"),
+        (("name",), ["ex4"], r"^name: expected a string, got \['ex4'\]$"),
+        (("wiring", "assignments", 1, "witness"), ["W3"], r"^wiring\.assignments\[1\]\.witness: expected a string"),
+        (("witness_param", "witness"), 3, r"^witness_param\.witness: expected a string, got 3$"),
+        (("witness_param", "name"), ["b"], r"^witness_param\.name: expected a string, got \['b'\]$"),
     ],
-    ids=["family_name_list", "outputs_int", "outputs_object"],
+    ids=["family_name_list", "outputs_int", "outputs_object", "name_list", "witness_list", "param_witness_int", "param_name_list"],
 )
 def test_parse_refuses_a_misshapen_name_or_outputs_by_its_field(path, value, message):
-    # a list name is unhashable and an int is not iterable: both used to raise a TypeError
+    # a list family name is unhashable and an int is not iterable: both used to raise a
+    # TypeError; the other names went through str(), so "name": ["ex4"] wrote
+    # "scenario": "['ex4']" and a list witness_param.name the CSV header a,['b'],value
     with pytest.raises(ValueError, match=message):
         sc.parse_scenario(_edited("ex4_pb_w3", path, value))
 
