@@ -5,9 +5,11 @@ grid, as ``witwire sweep --out`` writes them, each ``witwire
 reproduce`` report at the default seed, as ``--out`` writes it, each
 family's ``witwire ppt --out`` report, and a ``witwire validate
 --samples 2000 --out`` report at the default seed for every catalog
-operator, P_b at b = 1, 7.3 and 100.  It was
-recorded with numpy 2.4.6 on one BLAS thread: the concentration report
-carries rounding-level values that another BLAS may print differently.
+operator, P_b at b = 1, 7.3 and 100, and a ``witwire concentrate
+--samples 100 --out`` report at the default seed for d in {2, 3, 4}
+and each measurement kind.  It was
+recorded with numpy 2.4.6 on one BLAS thread: the concentration reports
+carry rounding-level values that another BLAS may print differently.
 A change that alters these bytes on purpose re-records the manifest with
 
     PYTHONPATH=src python tests/test_output_digests.py
@@ -40,7 +42,7 @@ def _digests(workdir: Path) -> dict[str, str]:
     A run that fails writes no file, or a report whose bytes differ, so
     the comparison names it without a check of its own here.
     """
-    for sub in ("reproduce", "ppt", "validate"):
+    for sub in ("reproduce", "ppt", "validate", "concentrate"):
         (workdir / sub).mkdir()
     with contextlib.redirect_stdout(io.StringIO()):
         for name in shipped_scenario_names():
@@ -52,6 +54,10 @@ def _digests(workdir: Path) -> dict[str, str]:
             cli.main(["ppt", family, "--out", str(workdir / "ppt" / f"{family}.json")])
         for name, args in VALIDATE_CASES:
             cli.main(["validate", *args, "--samples", "2000", "--out", str(workdir / "validate" / f"{name}.json")])
+        for d in ("2", "3", "4"):
+            for kind in ("m", "M"):
+                out = workdir / "concentrate" / f"d{d}_{kind}.json"
+                cli.main(["concentrate", "--d", d, "--kind", kind, "--samples", "100", "--out", str(out)])
     return {
         path.relative_to(workdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(workdir.rglob("*"))
