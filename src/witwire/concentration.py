@@ -20,6 +20,11 @@ reshapes to A B^T / sqrt d, so |phi> is Phi = Psi^T and |m>, |M> are
 density matrix is formed.  With V the reshaped measurement vector, the
 (A, B') amplitudes are Phi conj(V) Phi.  MAX_DIM caps the d^2 amplitudes
 of the output ket, so 2 <= d <= 16.
+
+Psi is validated and Psi^dag inverted in one place, which keeps its
+last result: a back-to-back call on the same (Psi, kind), such as
+``concentrate`` and then ``probability_consistency``, reuses the one
+guarded inverse.
 """
 
 from __future__ import annotations
@@ -61,9 +66,28 @@ def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
     return psi_mat
 
 
+# The last (shape, bytes, kind) that _checked_vector passed, with its
+# (psi, vec).  One entry covers every caller's back-to-back pair on one Psi;
+# a call that raises leaves it as it was.
+_last: tuple = (None, None)
+
+
 def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Psi validated, once, with ``measurement_vector``'s vector."""
-    psi_mat = check_schmidt_operator(psi_mat)
+    """Psi validated, once, with ``measurement_vector``'s vector.
+
+    The result is kept for the last Psi and kind: a call with the same
+    kind and the same shape and bytes of ``square(Psi)`` returns it
+    without validating or inverting again.  The kept psi is a read-only
+    copy made from those bytes and the kept vector is never handed out,
+    so no caller can write into either.
+    """
+    global _last
+    psi_mat = square(psi_mat)
+    key = (psi_mat.shape, psi_mat.tobytes(), kind)
+    last_key, last = _last
+    if key == last_key:
+        return last
+    psi_mat = check_schmidt_operator(np.frombuffer(key[1], dtype=complex).reshape(psi_mat.shape))
     d = psi_mat.shape[0]
     if d**2 > MAX_DIM:
         raise ValueError(f"output state dimension {d}^2 exceeds MAX_DIM={MAX_DIM}")
@@ -72,7 +96,15 @@ def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndar
     x = inverse(dagger(psi_mat))  # Psi^dag has Psi's singular values, so this gates Psi
     if kind == "M":
         x = x @ x  # (Psi^dag Psi^dag)^-1 without squaring cond(Psi) before the inversion
-    return psi_mat, x.reshape(-1) / math.sqrt(d)
+    last = psi_mat, x.reshape(-1) / math.sqrt(d)
+    _last = key, last
+    return last
+
+
+def _norm(vec: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, by its own arithmetic: sqrt(re.re + im.im)."""
+    re, im = vec.real, vec.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def measurement_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
@@ -82,8 +114,8 @@ def measurement_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, floa
     "m" and its square, (Psi^dag Psi^dag)^-1, for kind "M".  The guarded
     inversion is of Psi^dag alone, so its gates apply to Psi for both kinds.
     """
-    vec = _checked_vector(psi_mat, kind)[1]
-    return vec, float(np.linalg.norm(vec))
+    vec = _checked_vector(psi_mat, kind)[1].copy()
+    return vec, _norm(vec)
 
 
 def _outer_amplitudes(phi_mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -101,10 +133,10 @@ def _raw_weight(psi_mat: np.ndarray, vec: np.ndarray) -> float:
 def concentrate(psi_mat: np.ndarray, kind: str) -> ConcentrationResult:
     """Run the protocol on two copies of |phi> and report the A,B' ket."""
     psi_mat, vec = _checked_vector(psi_mat, kind)
-    norm = float(np.linalg.norm(vec))
+    norm = _norm(vec)
     d = psi_mat.shape[0]
     phi = psi_mat.T.reshape(-1)
-    phi = phi / np.linalg.norm(phi)
+    phi = phi / _norm(phi)
     if norm < 1e-14:
         raise ValueError("degenerate measurement vector")
     out = _outer_amplitudes(phi.reshape(d, d), vec / norm)

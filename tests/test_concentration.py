@@ -215,7 +215,11 @@ def test_concentration_path_never_calls_kron(monkeypatch):
             conc.measurement_vector(psi_mat, kind)
 
 
-def test_each_call_validates_psi_once(monkeypatch):
+CALLS = (conc.concentrate, conc.probability_consistency, conc.measurement_vector)
+
+
+def _counting(monkeypatch) -> dict:
+    """Count the calls of ``check_schmidt_operator`` and ``inverse`` made through ``concentration``."""
     counts = {"check": 0, "inverse": 0}
 
     def counting(name, fn):
@@ -227,13 +231,134 @@ def test_each_call_validates_psi_once(monkeypatch):
 
     monkeypatch.setattr(conc, "check_schmidt_operator", counting("check", conc.check_schmidt_operator))
     monkeypatch.setattr(conc, "inverse", counting("inverse", conc.inverse))
+    return counts
+
+
+def _evict():
+    """Make the next call on any other (Psi, kind) a fresh one."""
+    conc.measurement_vector(np.diag([0.6, 0.8]).astype(complex), "m")
+
+
+def test_each_call_validates_psi_once(monkeypatch):
+    counts = _counting(monkeypatch)
     psi_mat = conc.random_schmidt_operator(3, 151)
-    # both kinds invert Psi^dag once; kind "M" squares that inverse
-    for call in (conc.concentrate, conc.probability_consistency, conc.measurement_vector):
+    # a fresh (Psi, kind) validates and inverts Psi^dag once, for both
+    # kinds (kind "M" squares that inverse); the same (Psi, kind) called
+    # again right after, by any entry point, does neither
+    for first in CALLS:
+        for then in CALLS:
+            for kind in ("m", "M"):
+                _evict()
+                counts.update(check=0, inverse=0)
+                first(psi_mat, kind)
+                assert counts == {"check": 1, "inverse": 1}, (first.__name__, kind)
+                then(psi_mat, kind)
+                assert counts == {"check": 1, "inverse": 1}, (first.__name__, then.__name__, kind)
+    # the pair every caller makes inverts once in total, and equal bytes
+    # in another array are the same Psi
+    _evict()
+    counts.update(check=0, inverse=0)
+    conc.concentrate(psi_mat, "m")
+    conc.probability_consistency(psi_mat.copy(), "m")
+    assert counts == {"check": 1, "inverse": 1}
+    # the other kind, or other bytes, is a fresh call
+    conc.concentrate(psi_mat, "M")
+    assert counts == {"check": 2, "inverse": 2}
+    conc.concentrate(psi_mat.T.copy(), "M")
+    assert counts == {"check": 3, "inverse": 3}
+    # a call that raises keeps nothing, so the last good Psi is still kept
+    with pytest.raises(ValueError, match="measurement kind"):
+        conc.concentrate(psi_mat, "x")
+    conc.probability_consistency(psi_mat.T, "M")
+    assert counts == {"check": 4, "inverse": 3}
+
+
+def _results(psi_mat, kind) -> list:
+    """Every public output for (Psi, kind), in one list of arrays and floats."""
+    res = conc.concentrate(psi_mat, kind)
+    return [
+        res.output,
+        res.probability,
+        res.fidelity_with_target,
+        *conc.probability_consistency(psi_mat, kind),
+        *conc.measurement_vector(psi_mat, kind),
+    ]
+
+
+def _fresh_results(psi_mat, kind) -> list:
+    """``_results`` in the same order, with every call a fresh one."""
+    out = []
+    for call in CALLS:
+        _evict()
+        res = call(psi_mat, kind)
+        if isinstance(res, conc.ConcentrationResult):
+            out += [res.output, res.probability, res.fidelity_with_target]
+        else:
+            out += list(res)
+    return out
+
+
+def _assert_same_bits(a: list, b: list):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_psi_changed_in_place_gets_the_fresh_result():
+    rng = np.random.default_rng(157)
+    for kind in ("m", "M"):
+        psi_mat = conc.random_schmidt_operator(3, rng)
+        other = conc.random_schmidt_operator(3, rng)
+        expected = _fresh_results(other, kind)
+        _results(psi_mat, kind)
+        psi_mat[...] = other  # the same object, now holding other's entries
+        _assert_same_bits(_results(psi_mat, kind), expected)
+
+
+@pytest.mark.parametrize("bad", ["nan", "ill-conditioned"])
+def test_bad_psi_raises_on_back_to_back_calls(bad):
+    if bad == "nan":
+        psi_mat = np.eye(2, dtype=complex) / np.sqrt(2.0)
+        psi_mat[1, 0] = np.nan
+        match = "non-finite"
+    else:
+        psi_mat = np.diag([1.0, 1e-13]).astype(complex)
+        psi_mat /= np.linalg.norm(psi_mat)
+        match = "ill-conditioned"
+    for call in CALLS:
         for kind in ("m", "M"):
-            counts.update(check=0, inverse=0)
-            call(psi_mat, kind)
-            assert counts == {"check": 1, "inverse": 1}, (call.__name__, kind)
+            for _ in range(2):
+                with pytest.raises(ValueError, match=match):
+                    call(psi_mat, kind)
+
+
+def test_writing_into_returned_arrays_leaves_later_results_unchanged():
+    rng = np.random.default_rng(163)
+    for d in (2, 3, 4):
+        psi_mat = conc.random_schmidt_operator(d, rng)
+        for kind in ("m", "M"):
+            expected = _fresh_results(psi_mat, kind)
+            res = conc.concentrate(psi_mat, kind)
+            res.output[...] = 7.0
+            vec, _ = conc.measurement_vector(psi_mat, kind)
+            vec[...] = 7.0
+            _assert_same_bits(_results(psi_mat, kind), expected)
+            # nor does writing into the Psi the kept result was made from
+            mine = psi_mat.copy()
+            _evict()
+            conc.concentrate(mine, kind)
+            mine[...] = 7.0
+            _assert_same_bits(_results(psi_mat, kind), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(schmidt_operators(), st.sampled_from(["m", "M"]))
+def test_results_after_a_hit_equal_a_fresh_call_bit_for_bit(psi_mat, kind):
+    expected = _fresh_results(psi_mat, kind)
+    _evict()
+    # concentrate misses; measurement_vector and probability_consistency hit
+    _assert_same_bits(_results(psi_mat, kind), expected)
 
 
 def test_ill_conditioned_psi_is_refused_by_every_call():
