@@ -27,7 +27,7 @@ from .states import FAMILIES, FIXED_STATES, StateFamily
 from .witnesses import catalog, catalog_names, validate_witness
 from .ppt import ppt_check, ppt_threshold
 from .concentration import concentrate, measurement_vector, random_schmidt_operator
-from .reproduce import REPRODUCE_IDS, reproduce
+from .reproduce import REPRODUCE_IDS
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "ppt_check",
     "ppt_threshold",
     "random_schmidt_operator",
-    "reproduce",
     "sweep",
     "validate_witness",
     "wiring",

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import witwire
 from witwire import detection
-from witwire.reproduce import reproduce
+from witwire.reproduce import reproduce, three_copy_cyclic
 from witwire.states import FAMILIES
 
 
@@ -68,3 +69,14 @@ def test_concentration_checks_keep_their_recorded_bits():
     values = {c["name"]: c["value"].hex() for c in report["checks"] if isinstance(c["value"], float)}
     assert values == CONCENTRATION_VALUES
     assert report["all_pass"]
+
+
+def test_the_reproduce_module_is_reachable_by_import_as():
+    # the package once bound ``reproduce`` to the function, which hid the
+    # module: ``r.three_copy_cyclic`` raised AttributeError
+    import witwire.reproduce as r
+
+    assert r.three_copy_cyclic is three_copy_cyclic
+    assert r.reproduce is reproduce
+    assert witwire.reproduce is r
+    assert "reproduce" not in witwire.__all__ and "REPRODUCE_IDS" in witwire.__all__
