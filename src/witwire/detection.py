@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import witnesses as _witnesses
-from .linalg import MAX_DIM, check_hermitian, checked_integer
+from .linalg import MAX_DIM, check_hermitian, checked_integer, is_integer
 from .states import StateFamily
 
 IMAG_TOL = 1e-9
@@ -95,22 +95,33 @@ class WiringSpec:
             raise ValueError(f"copies: expected at least 1, got {copies}")
         if not isinstance(self.base_dims, _SEQUENCE) or not len(self.base_dims):
             raise ValueError(f"base_dims: expected a non-empty list of integers, got {self.base_dims!r}")
-        dims = tuple(checked_integer(d, f"base_dims[{i}]") for i, d in enumerate(self.base_dims))
+        # field names are formatted only on refusal: a valid spec formats none
+        if all(map(is_integer, self.base_dims)):
+            dims = tuple(map(int, self.base_dims))
+        else:  # refuses the first entry that is not an integer, by name
+            dims = tuple(checked_integer(d, f"base_dims[{i}]") for i, d in enumerate(self.base_dims))
         if min(dims) < 1:
             raise ValueError(f"base_dims: expected dims >= 1, got {list(dims)}")
         n, seen, built = len(dims), set(), []
         for j, asg in enumerate(self.assignments):
-            where, slots = f"assignments[{j}].slots", asg.slots
+            slots = asg.slots
             if not isinstance(slots, _SEQUENCE) or any(not isinstance(s, _SEQUENCE) or len(s) != 2 for s in slots):
-                raise ValueError(f"{where}: expected a list of [copy, party] pairs")
+                raise ValueError(f"assignments[{j}].slots: expected a list of [copy, party] pairs")
             if not len(slots):
-                raise ValueError(f"{where}: a witness needs at least one slot")
-            pairs = tuple(tuple(checked_integer(v, f"{where}[{i}]") for v in s) for i, s in enumerate(slots))
+                raise ValueError(f"assignments[{j}].slots: a witness needs at least one slot")
+            if all(is_integer(v) for s in slots for v in s):
+                pairs = tuple((int(copy), int(party)) for copy, party in slots)
+            else:
+                pairs = tuple(
+                    tuple(checked_integer(v, f"assignments[{j}].slots[{i}]") for v in s) for i, s in enumerate(slots)
+                )
             for i, (copy, party) in enumerate(pairs):
                 if not (0 <= copy < copies and 0 <= party < n):
-                    raise ValueError(f"{where}[{i}]: slot ({copy}, {party}) out of range: {copies} copies, {n} parties")
+                    raise ValueError(
+                        f"assignments[{j}].slots[{i}]: slot ({copy}, {party}) out of range: {copies} copies, {n} parties"
+                    )
                 if (copy, party) in seen:
-                    raise ValueError(f"{where}[{i}]: slot ({copy}, {party}) assigned more than once")
+                    raise ValueError(f"assignments[{j}].slots[{i}]: slot ({copy}, {party}) assigned more than once")
                 seen.add((copy, party))
             built.append(Assignment(asg.witness, pairs, asg.param))
         object.__setattr__(self, "copies", copies)
