@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -218,8 +221,12 @@ def test_concentration_path_never_calls_kron(monkeypatch):
 CALLS = (conc.concentrate, conc.probability_consistency, conc.measurement_vector)
 
 
-def _counting(monkeypatch) -> dict:
-    """Count the calls of ``check_schmidt_operator`` and ``inverse`` made through ``concentration``."""
+def _evict():
+    """Make the next call on any other (Psi, kind) a fresh one."""
+    conc.measurement_vector(np.diag([0.6, 0.8]).astype(complex), "m")
+
+
+def test_each_call_validates_psi_once(monkeypatch):
     counts = {"check": 0, "inverse": 0}
 
     def counting(name, fn):
@@ -231,16 +238,6 @@ def _counting(monkeypatch) -> dict:
 
     monkeypatch.setattr(conc, "check_schmidt_operator", counting("check", conc.check_schmidt_operator))
     monkeypatch.setattr(conc, "inverse", counting("inverse", conc.inverse))
-    return counts
-
-
-def _evict():
-    """Make the next call on any other (Psi, kind) a fresh one."""
-    conc.measurement_vector(np.diag([0.6, 0.8]).astype(complex), "m")
-
-
-def test_each_call_validates_psi_once(monkeypatch):
-    counts = _counting(monkeypatch)
     psi_mat = conc.random_schmidt_operator(3, 151)
     # a fresh (Psi, kind) validates and inverts Psi^dag once, for both
     # kinds (kind "M" squares that inverse); the same (Psi, kind) called
@@ -378,3 +375,33 @@ def test_ill_conditioned_psi_is_refused_by_every_call():
         for kind in ("m", "M"):
             with pytest.raises(ValueError, match="ill-conditioned"):
                 call(swap, kind)
+
+
+def test_threads_sharing_the_kept_result_get_their_own_psi_results():
+    # the kept key and result are one tuple, replaced whole, so a thread
+    # that hits reads the result made for its own key
+    rng = np.random.default_rng(167)
+    cases = [(conc.random_schmidt_operator(d, rng), kind) for d in (2, 3) for kind in ("m", "M")]
+    expected = [_fresh_results(psi_mat, kind) for psi_mat, kind in cases]
+    errors = []
+
+    def work(offset):
+        try:
+            for step in range(60):
+                i = (offset + step // 2) % len(cases)
+                _assert_same_bits(_results(*cases[i]), expected[i])
+        except AssertionError as exc:
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
