@@ -68,7 +68,8 @@ def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
 
 # The last (shape, bytes, kind) that _checked_vector passed, with its
 # (psi, vec).  One entry covers every caller's back-to-back pair on one Psi;
-# a call that raises leaves it as it was.
+# a call that raises leaves it as it was.  Key and result are one tuple,
+# replaced whole, so a thread that hits reads the result of its own key.
 _last: tuple = (None, None)
 
 
