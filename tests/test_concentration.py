@@ -390,7 +390,7 @@ def test_threads_sharing_the_kept_result_get_their_own_psi_results():
             for step in range(60):
                 i = (offset + step // 2) % len(cases)
                 _assert_same_bits(_results(*cases[i]), expected[i])
-        except AssertionError as exc:
+        except Exception as exc:  # a thread's exception would otherwise only be printed
             errors.append(exc)
 
     switch = sys.getswitchinterval()
