@@ -78,7 +78,7 @@ def permute_oracle(mat, dims, perm):
 def embed_oracle(local, local_dims, slots, full_dims):
     """Local operator on the named slots, identity on the rest."""
     total = int(np.prod(full_dims))
-    out = np.zeros((total, total), dtype=complex)
+    out = np.zeros((total, total), dtype=np.result_type(local, complex))
     for r in range(total):
         ri = unravel(r, full_dims)
         for c in range(total):
@@ -97,7 +97,7 @@ def partial_trace_oracle(mat, dims, traced):
     traced_dims = [dims[s] for s in traced]
     kept_total = int(np.prod(kept_dims)) if kept_dims else 1
     traced_total = int(np.prod(traced_dims)) if traced_dims else 1
-    out = np.zeros((kept_total, kept_total), dtype=complex)
+    out = np.zeros((kept_total, kept_total), dtype=np.result_type(mat, complex))
     for rk in range(kept_total):
         rki = unravel(rk, kept_dims)
         for ck in range(kept_total):
@@ -209,17 +209,24 @@ def concentration_oracle(psi_mat, kind):
     constructions above, rho^(x)2 is the Kronecker square of
     |phi><phi|, the measurement projector is placed on (B, A') by
     ``embed_oracle``, and the (A, B') state is read off by
-    ``partial_trace_oracle``.  Returns
-    (output_state, probability, fidelity_with_target, raw_weight).
-    About 0.3 s at d=4, where the two-copy matrices are 256 x 256.
+    ``partial_trace_oracle``.  From the Kronecker square on, the
+    products, the embedding and the partial trace are carried in
+    ``np.clongdouble``: for kind M the raw projector's entries grow
+    like cond(Psi)**4, and at cond 60-100 the same sums in double
+    precision differed from the library by up to 8e-10, where this
+    oracle differs by under 5e-13 (400 random d = 2, 3 cases).  Returns
+    (output_state, probability, fidelity_with_target, raw_weight) in
+    double precision.  About 0.3 s at d=4, where the two-copy matrices
+    are 256 x 256.
     """
     d = psi_mat.shape[0]
     full = [d] * 4
     psi_plus = np.eye(d).reshape(-1) / np.sqrt(d)
     phi_raw, _ = schmidt_state_oracles(psi_mat)
-    phi = phi_raw / np.linalg.norm(phi_raw)
     vec, _ = measurement_vector_oracles(psi_mat, kind)
-    norm = np.linalg.norm(vec)
+    phi_raw, vec = phi_raw.astype(np.clongdouble), vec.astype(np.clongdouble)
+    phi = phi_raw / np.sqrt(np.sum(np.abs(phi_raw) ** 2))
+    norm = np.sqrt(np.sum(np.abs(vec) ** 2))
     # the raw projector |vec><vec| on (B, A'); the normalized one is it / norm^2
     meas = embed_oracle(np.outer(vec, vec.conj()), [d, d], [1, 2], full)
     rho2 = np.kron(np.outer(phi, phi.conj()), np.outer(phi, phi.conj()))
@@ -230,7 +237,7 @@ def concentration_oracle(psi_mat, kind):
     fidelity = (target.conj() @ output @ target).real
     rho2_raw = np.kron(np.outer(phi_raw, phi_raw.conj()), np.outer(phi_raw, phi_raw.conj()))
     raw_weight = np.trace(meas @ rho2_raw).real
-    return output, probability, fidelity, raw_weight
+    return output.astype(complex), float(probability), float(fidelity), float(raw_weight)
 
 
 def _pure(*amplitudes):
