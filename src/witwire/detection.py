@@ -11,7 +11,11 @@ nonnegative, which is the whole point of the construction.
 A ``WiringSpec`` is valid by construction, so ``compile_wiring`` only
 builds, once, one block per copy where a witness ends: the product of
 the witnesses whose last copy that is, on the placed slots of that copy
-and the ones before it.
+and the ones before it.  The walk over the slot layout (positions, axis
+orders, broadcast and pending shapes, reduction labels, the MAX_DIM
+refusal) is planned once per layout and kept, for up to
+PLAN_CACHE_SIZE layouts, so a compile on a kept layout only resolves
+its witnesses and multiplies them into blocks.
 The evaluator it returns reduces rho onto each copy's placed parties
 and sweeps the copies right to left, multiplying each copy's block in
 and contracting the copy out at once, so no rho^(x)k, no D x D object
@@ -27,10 +31,11 @@ interpolant's roots.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +58,7 @@ class Assignment:
     slots: tuple[tuple[int, int], ...]
     param: float | None = None
 
-    def resolve(self, local_dims: list[int]) -> np.ndarray:
+    def resolve(self, local_dims: Sequence[int]) -> np.ndarray:
         if isinstance(self.witness, str):
             mat = _witnesses.catalog(self.witness, b=self.param).matrix
         else:
@@ -64,7 +69,7 @@ class Assignment:
         if mat.shape != (want, want):
             raise ValueError(
                 f"witness on slots {self.slots} has shape {mat.shape}, "
-                f"expected {(want, want)} for local dims {local_dims}"
+                f"expected {(want, want)} for local dims {list(local_dims)}"
             )
         if not isinstance(self.witness, str):
             check_hermitian(mat, f"witness on slots {self.slots}")  # a raw matrix is outside input
@@ -141,33 +146,119 @@ def wiring(copies: int, base_dims: Sequence[int], assignments: Sequence[tuple]) 
     return WiringSpec(copies, base_dims, tuple(Assignment(*entry) for entry in assignments))
 
 
-def _operator_product(
-    factors: list[tuple[np.ndarray, list[int]]],
-    dims: list[int],
-    row_axes: list[int],
-    col_axes: list[int],
-) -> np.ndarray:
-    """Product of operators on disjoint slots, built straight into a chosen axis order.
+class _Placed(NamedTuple):
+    """One witness's part of a plan: where it sits and how it joins its block."""
 
-    ``factors``, never empty, pairs each matrix with the slots it acts
-    on, in its own slot order.  Slot s has dimension dims[s], and its
-    row and column axes land at positions row_axes[s] and col_axes[s] of
-    the 2 * len(dims)-axis result; a slot no factor acts on keeps size-1
-    axes there, to broadcast against.  Each factor is broadcast over
-    the other axes and multiplied in, so no transposed copy of the
-    result is ever made.
+    slots: tuple[int, ...]  # its positions among the placed slots, in its own slot order
+    local_dims: tuple[int, ...]
+    copy: int  # the last copy it touches, whose block it joins
+    perm: tuple[int, ...]  # the transpose of its (rows, columns) tensor into the block's axis order
+    shape: tuple[int, ...]  # that tensor's broadcast shape, size 1 where it does not act
+
+
+class _Plan(NamedTuple):
+    """What ``compile_wiring`` derives from a layout alone: ints and tuples, no arrays."""
+
+    witnesses: tuple[_Placed, ...]  # in assignment order
+    blocks: tuple[tuple[int, tuple[int, ...]], ...]  # (copy, its witnesses), last copy first
+    pending: tuple[tuple[int, ...] | None, ...]  # per copy: the pending tensor's shape at its block
+    parties: tuple[tuple[int, ...], ...]  # per copy: its placed parties
+    reductions: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]  # (parties, einsum labels, out)
+
+
+# Layouts whose plans are kept.  A wirings scan, an ordering table or a
+# P_b scan places witnesses on a few slot layouts again and again.
+PLAN_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(copies: int, base_dims: tuple[int, ...], layout: tuple[tuple[tuple[int, int], ...], ...]) -> _Plan:
+    """The plan of ``copies`` copies of ``base_dims`` with witnesses on ``layout``'s slot groups.
+
+    Keyed by the int tuples a ``WiringSpec`` stores.  A layout over
+    MAX_DIM raises, and raises again on the next call: ``lru_cache``
+    keeps no exception.
     """
-    m = 2 * len(dims)
+    per_copy: list[list[int]] = [[] for _ in range(copies)]
+    for c, p in sorted(itertools.chain.from_iterable(layout)):
+        per_copy[c].append(p)
+    # placed slot q of copy c, whose placed slots are start..stop-1, puts
+    # its row axis at start + q and its column axis at stop + q, so copies
+    # 0..c fill the first 2 * stop axes, and the copies above c are gone
+    # by the time c's block comes in
+    slot = {}  # (copy, party) -> (q, row axis, column axis, dim)
+    stops = []
+    total = 1
+    q = 0
+    for c, ps in enumerate(per_copy):
+        start, stop = q, q + len(ps)
+        stops.append(stop)
+        for p in ps:
+            slot[c, p] = (q, start + q, stop + q, base_dims[p])
+            total *= base_dims[p]
+            q += 1
+    if total > MAX_DIM:
+        raise ValueError(f"placed-slot dimension {total} exceeds MAX_DIM={MAX_DIM}")
+    ending: list[list[int]] = [[] for _ in range(copies)]  # the witnesses whose last copy is c
+    for j, slots in enumerate(layout):
+        ending[max(slots)[0]].append(j)
+    # pending[c] is the shape the pending tensor takes to meet copy c's
+    # block: (1,) for the first block, which at most meets a factor
+    # Tr rho per empty copy above it.  ``running`` is that tensor's shape
+    # after a block: the dims of every slot a witness ending there or
+    # above acts on, size 1 elsewhere
+    witnesses: list = [None] * len(layout)
+    pending: list[tuple[int, ...] | None] = [None] * copies
+    blocks = []
+    running = None
+    for c in range(copies - 1, -1, -1):
+        if not ending[c]:
+            continue
+        width = 2 * stops[c]
+        if running is None:
+            pending[c], running = (1,), [1] * width
+        else:
+            running = running[:width]
+            pending[c] = tuple(running)
+        for j in ending[c]:
+            at, rows, cols, local_dims = zip(*map(slot.__getitem__, layout[j]))
+            shape = [1] * width
+            for r, col, d in zip(rows, cols, local_dims):
+                shape[r] = shape[col] = running[r] = running[col] = d
+            axes = rows + cols
+            # sorted in Python: a first np.argsort call maps in numpy's sort kernels, 0.4 MiB of RSS
+            perm = sorted(range(len(axes)), key=axes.__getitem__)
+            witnesses[j] = _Placed(at, local_dims, c, tuple(perm), tuple(shape))
+        blocks.append((c, tuple(ending[c])))
+    # rho's tensor has row labels 0..n-1 and column labels n..2n-1; an
+    # unplaced party's column takes its row label, which traces it out,
+    # and the output lists the columns first, so each reduced state
+    # comes out transposed, as Tr(W sigma) = sum W[r, c] sigma[c, r] needs
+    n = len(base_dims)
+    parties = tuple(map(tuple, per_copy))
+    labels = tuple(range(n))
+    reductions = []
+    for ps in dict.fromkeys(parties):
+        cols = list(labels)
+        for i in ps:
+            cols[i] += n
+        reductions.append((ps, labels + tuple(cols), tuple(map(cols.__getitem__, ps)) + ps))
+    return _Plan(tuple(witnesses), tuple(blocks), tuple(pending), parties, tuple(reductions))
+
+
+def _operator_product(factors: list[tuple[np.ndarray, _Placed]]) -> np.ndarray:
+    """Product of operators on disjoint slots, built straight into a block's axis order.
+
+    ``factors``, never empty, pairs each matrix with its witness's part
+    of the plan: the matrix, reshaped to its rows then its columns, is
+    transposed by ``perm`` into the block's axis order and given size-1
+    axes where it does not act (``shape``), to broadcast against.  Each
+    factor is broadcast over the other axes and multiplied in, so no
+    transposed copy of the result is ever made.
+    """
     op = None
-    for mat, slots in factors:
-        local = [dims[s] for s in slots]
-        axes = [row_axes[s] for s in slots] + [col_axes[s] for s in slots]
-        shape = [1] * m
-        for s in slots:
-            shape[row_axes[s]] = shape[col_axes[s]] = dims[s]
-        # sorted in Python: a first np.argsort call maps in numpy's sort kernels, 0.4 MiB of RSS
-        tensor = mat.reshape(local * 2).transpose(sorted(range(len(axes)), key=axes.__getitem__))
-        tensor = tensor.reshape(shape)
+    for mat, placed in factors:
+        tensor = mat.reshape(placed.local_dims * 2).transpose(placed.perm).reshape(placed.shape)
         op = tensor.copy() if op is None else np.multiply(op, tensor, order="C")
     return op
 
@@ -181,7 +272,9 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
     the placed slots of that copy and of every copy before it, with
     size-1 axes where the block's witnesses do not act.  A copy where
     no witness ends has no block.  MAX_DIM still caps D_p, the product
-    of the placed dims, though no block need reach D_p x D_p.
+    of the placed dims, though no block need reach D_p x D_p.  All of
+    that layout walk is ``_plan``'s, kept per (copies, base dims, slot
+    groups); each call resolves the witnesses and builds the blocks.
 
     The evaluator takes one copy rho of the base system and reduces it
     onto each copy's placed parties; a copy with none placed gives the
@@ -197,52 +290,13 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
     """
     base_dims = list(spec.base_dims)
     base_total = math.prod(base_dims)
-    n = len(base_dims)
     k = spec.copies
-    flats = [[c * n + p for c, p in asg.slots] for asg in spec.assignments]
-    placed = sorted(f for fs in flats for f in fs)
-    position = {f: i for i, f in enumerate(placed)}
-    dims = [base_dims[f % n] for f in placed]
-    if math.prod(dims) > MAX_DIM:
-        raise ValueError(f"placed-slot dimension {math.prod(dims)} exceeds MAX_DIM={MAX_DIM}")
-    ending: list[list] = [[] for _ in range(k)]  # the witnesses whose last copy is c
-    for asg, fs in zip(spec.assignments, flats):
-        at = [position[f] for f in fs]
-        ending[max(fs) // n].append((asg.resolve([dims[i] for i in at]), at))
-    # copy c's slots q = start..stop-1 put their rows at start + q and
-    # their columns at stop + q, so copies 0..c fill the first 2 * stop
-    # axes, and the copies above c are gone by the time c's block comes in
-    parties = [tuple(f % n for f in placed if f // n == c) for c in range(k)]
-    row_axes, col_axes, stops = [], [], []
-    for ps in parties:
-        start, stop = len(row_axes), len(row_axes) + len(ps)
-        stops.append(stop)
-        row_axes += [start + q for q in range(start, stop)]
-        col_axes += [stop + q for q in range(start, stop)]
-    # pending[c] is the shape the pending tensor takes to meet copy c's
-    # block: (1,) for the first block, which at most meets a factor
-    # Tr rho per empty copy above it
+    plan = _plan(k, spec.base_dims, tuple([asg.slots for asg in spec.assignments]))
+    mats = [asg.resolve(placed.local_dims) for asg, placed in zip(spec.assignments, plan.witnesses)]
     blocks: list[np.ndarray | None] = [None] * k
-    pending: list[tuple[int, ...] | None] = [None] * k
-    shape = None
-    for c in range(k - 1, -1, -1):
-        if ending[c]:
-            stop = stops[c]
-            block = _operator_product(ending[c], dims[:stop], row_axes[:stop], col_axes[:stop])
-            pending[c] = (1,) if shape is None else shape[: 2 * stop]
-            shape = block.shape if shape is None else tuple(map(max, pending[c], block.shape))
-            blocks[c] = block
-    # rho's tensor has row labels 0..n-1 and column labels n..2n-1; an
-    # unplaced party's column takes its row label, which traces it out,
-    # and the output lists the columns first, so each reduced state
-    # comes out transposed, as Tr(W sigma) = sum W[r, c] sigma[c, r] needs
-    reductions = {
-        ps: (
-            list(range(n)) + [n + i if i in ps else i for i in range(n)],
-            [n + i for i in ps] + list(ps),
-        )
-        for ps in set(parties)
-    }
+    for c, members in plan.blocks:
+        blocks[c] = _operator_product([(mats[j], plan.witnesses[j]) for j in members])
+    pending, parties, reductions = plan.pending, plan.parties, plan.reductions
 
     def evaluate(rho: np.ndarray) -> float:
         rho = np.asarray(rho, dtype=complex)
@@ -256,7 +310,7 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
         tensor = rho.reshape(base_dims * 2)
         reduced = {
             ps: np.einsum(tensor, labels, out).reshape(-1)
-            for ps, (labels, out) in reductions.items()
+            for ps, labels, out in reductions
         }
         x = None
         for c in range(k - 1, -1, -1):

@@ -286,9 +286,9 @@ def test_sweep_assembles_the_wiring_once(monkeypatch):
     calls = []
     product = detection._operator_product
 
-    def counting(factors, dims, row_axes, col_axes):
-        calls.append(([slots for _, slots in factors], dims, row_axes, col_axes))
-        return product(factors, dims, row_axes, col_axes)
+    def counting(factors):
+        calls.append([(placed.slots, placed.shape) for _, placed in factors])
+        return product(factors)
 
     monkeypatch.setattr(detection, "_operator_product", counting)
     spec = detection.wiring(
@@ -297,8 +297,9 @@ def test_sweep_assembles_the_wiring_once(monkeypatch):
     report = detection.sweep(spec, FAMILIES["werner_a"], 201)
     assert len(report.thresholds) == 1  # the root was located too
     # one build, of the placed slots only: A, B, A', B' in copy-major order,
-    # laid out per copy as (A, B rows, A, B columns, A', B' rows, A', B' columns)
-    assert calls == [([[0, 3], [1, 2]], [2, 2, 2, 2], [0, 1, 4, 5], [2, 3, 6, 7])]
+    # laid out per copy as (A, B rows, A, B columns, A', B' rows, A', B' columns),
+    # so P on (A, B') acts on axes 0, 5 (rows) and 2, 7 (columns), W3 on (B, A') on 1, 4 and 3, 6
+    assert calls == [[((0, 3), (2, 1, 2, 1, 1, 2, 1, 2)), ((1, 2), (1, 2, 1, 2, 2, 1, 2, 1))]]
 
 
 def test_evaluator_keeps_the_trace_of_a_copy_with_nothing_placed():
@@ -371,9 +372,9 @@ def _counting_operator_product(monkeypatch):
     calls = []
     product = detection._operator_product
 
-    def counting(factors, dims, row_axes, col_axes):
-        op = product(factors, dims, row_axes, col_axes)
-        calls.append(([mat for mat, _ in factors], [slots for _, slots in factors], len(dims), op.size))
+    def counting(factors):
+        op = product(factors)
+        calls.append(([mat for mat, _ in factors], [list(p.slots) for _, p in factors], op.ndim // 2, op.size))
         return op
 
     monkeypatch.setattr(detection, "_operator_product", counting)
@@ -561,6 +562,94 @@ def test_expectation_matches_index_loop_oracle(case):
     want = expectation_oracle(mats, groups, list(spec.base_dims), spec.copies, rho)
     assert abs(want.imag) < 1e-12
     assert abs(detection.expectation(spec, rho) - want.real) < 1e-12
+
+
+def _arrays_in(value):
+    """The NumPy arrays anywhere inside nested tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays_in(item)]
+    return []
+
+
+def _plan_of(spec):
+    return detection._plan(spec.copies, spec.base_dims, tuple(asg.slots for asg in spec.assignments))
+
+
+@settings(max_examples=100, deadline=None)
+@given(placed_wirings())
+def test_a_kept_plan_gives_the_values_of_a_fresh_one_bit_for_bit(case):
+    spec, _, _, rho = case
+    detection._plan.cache_clear()
+    cold = detection.compile_wiring(spec)(rho)
+    assert detection._plan.cache_info().currsize == 1
+    # a second spec with the same layout but its own assignment objects hits the kept plan
+    warm = detection.compile_wiring(replace(spec, assignments=tuple(replace(a) for a in spec.assignments)))
+    assert detection._plan.cache_info().hits >= 1
+    assert warm(rho) == cold
+    assert not _arrays_in(_plan_of(spec))
+
+
+def test_a_layout_over_max_dim_raises_on_every_compile():
+    full = detection.wiring(3, [2, 2, 2], [("WW1", [(c, 0), (c, 1), (c, 2)]) for c in range(3)])
+    detection._plan.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            detection.compile_wiring(full)
+    assert detection._plan.cache_info().currsize == 0
+
+
+def test_layouts_that_differ_get_their_own_plans():
+    rng = np.random.default_rng(25)
+
+    def hermitian(d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return g + g.conj().T
+
+    def state(d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = g @ g.conj().T
+        return 1.5 * rho / np.trace(rho).real  # trace 1.5, so an extra copy shows
+
+    mat6, mat4 = hermitian(6), hermitian(4)  # mat4 is not symmetric under the swap of its two slots
+    cases = [
+        ([2, 3], 1, [[(0, 0), (0, 1)]], [mat6]),
+        ([3, 2], 1, [[(0, 0), (0, 1)]], [mat6]),
+        ([2, 2], 2, [[(0, 0), (1, 1)]], [mat4]),
+        ([2, 2], 3, [[(0, 0), (1, 1)]], [mat4]),
+        ([2, 2], 1, [[(0, 0), (0, 1)]], [mat4]),
+        ([2, 2], 1, [[(0, 1), (0, 0)]], [mat4]),
+    ]
+    rhos = {6: state(6), 4: state(4)}
+    detection._plan.cache_clear()
+    plans = []
+    for _ in range(2):  # the second pass hits every kept plan
+        for base_dims, copies, groups, mats in cases:
+            spec = detection.wiring(copies, base_dims, list(zip(mats, groups)))
+            rho = rhos[math.prod(base_dims)]
+            want = expectation_oracle(mats, groups, base_dims, copies, rho)
+            assert abs(detection.expectation(spec, rho) - want.real) < 1e-10
+            plans.append(_plan_of(spec))
+    assert detection._plan.cache_info().currsize == len(cases)
+    for first, second in zip(plans[0::2], plans[1::2]):
+        assert first != second
+    assert plans[: len(cases)] == plans[len(cases):]
+
+
+def test_a_kept_plan_builds_its_blocks_from_the_witness_of_each_call():
+    mat = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    spec = detection.wiring(2, [2, 2], [(mat, [(0, 1), (1, 0)])])
+    rho = FAMILIES["werner_w"](0.3)
+    before = detection.compile_wiring(spec)
+    value = before(rho)
+    mat *= 2.0  # the caller's own raw witness, changed in place after the first compile
+    assert detection.compile_wiring(spec)(rho) == 2.0 * value
+    assert before(rho) == value
+
+
+def test_the_plan_cache_holds_the_module_constant_of_layouts():
+    assert detection._plan.cache_parameters()["maxsize"] == detection.PLAN_CACHE_SIZE
 
 
 @st.composite
