@@ -236,7 +236,7 @@ def concentration_oracle(psi_mat, kind):
     target = phi if kind == "m" else psi_plus
     fidelity = (target.conj() @ output @ target).real
     rho2_raw = np.kron(np.outer(phi_raw, phi_raw.conj()), np.outer(phi_raw, phi_raw.conj()))
-    raw_weight = np.trace(meas @ rho2_raw).real
+    raw_weight = np.sum(meas * rho2_raw.T).real  # Tr(AB) = sum_ij A_ij B_ji
     return output.astype(complex), float(probability), float(fidelity), float(raw_weight)
 
 
