@@ -19,12 +19,14 @@ reshapes to A B^T / sqrt d, so |phi> is Phi = Psi^T and |m>, |M> are
 (Psi^dag)^-1 and its square over sqrt d; no Kronecker product and no
 density matrix is formed.  With V the reshaped measurement vector, the
 (A, B') amplitudes are Phi conj(V) Phi.  MAX_DIM caps the d^2 amplitudes
-of the output ket, so 2 <= d <= 16.
+of the output ket, so 2 <= d <= 16, also before ``random_schmidt_operator``'s
+first draw.
 
-Psi is validated and Psi^dag inverted in one place, which keeps its
-last result: a back-to-back call on the same (Psi, kind), such as
-``concentrate`` and then ``probability_consistency``, reuses the one
-guarded inverse.
+Psi is validated, gated (condition estimate below CONDITION_LIMIT, then
+residual max|Psi^dag X - I| <= 1e-9 d) and Psi^dag inverted in one
+place, which keeps its last result: a back-to-back call on the same
+(Psi, kind), such as ``concentrate`` and then ``probability_consistency``,
+reuses the one guarded inverse.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_DIM, TRACE_TOL, check_local_dimension, condition_number, dagger, inverse, square
+from .linalg import MAX_DIM, TRACE_TOL, check_local_dimension, dagger, square
 
+# Refuse to invert Psi^dag at this condition estimate or worse.
+CONDITION_LIMIT = 1e12
+# random_schmidt_operator rejects draws above this condition number.
 CONDITION_CAP = 1e2
 
 # the pass rule of a concentration run: fidelity within FIDELITY_TOL of 1
@@ -66,6 +71,18 @@ def check_schmidt_operator(psi_mat: np.ndarray) -> np.ndarray:
     return psi_mat
 
 
+def _check_output_dimension(d: int) -> None:
+    """Raise unless the d^2 amplitudes of the output ket fit in MAX_DIM."""
+    if d**2 > MAX_DIM:
+        raise ValueError(f"output state dimension {d}^2 exceeds MAX_DIM={MAX_DIM}")
+
+
+def _condition_number(a: np.ndarray) -> float:
+    """``np.linalg.cond(a)`` without its wrapper: the extreme singular values' ratio, inf if the smallest is 0."""
+    s = np.linalg.svd(a, compute_uv=False).tolist()  # float division: an overflow is inf, silently
+    return s[0] / s[-1] if s[-1] else math.inf
+
+
 # The last (shape, bytes, kind) that _checked_vector passed, with its
 # (psi, vec).  One entry covers every caller's back-to-back pair on one Psi;
 # a call that raises leaves it as it was.  Key and result are one tuple,
@@ -74,7 +91,7 @@ _last: tuple = (None, None)
 
 
 def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Psi validated, once, with ``measurement_vector``'s vector.
+    """Psi validated, gated and inverted, once, with ``measurement_vector``'s vector.
 
     The result is kept for the last Psi and kind: a call with the same
     kind and the same shape and bytes of ``square(Psi)`` returns it
@@ -90,11 +107,25 @@ def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndar
         return last
     psi_mat = check_schmidt_operator(np.frombuffer(key[1], dtype=complex).reshape(psi_mat.shape))
     d = psi_mat.shape[0]
-    if d**2 > MAX_DIM:
-        raise ValueError(f"output state dimension {d}^2 exceeds MAX_DIM={MAX_DIM}")
+    _check_output_dimension(d)
     if kind not in ("m", "M"):
         raise ValueError(f"measurement kind must be 'm' or 'M', got {kind!r}")
-    x = inverse(dagger(psi_mat))  # Psi^dag has Psi's singular values, so this gates Psi
+    psi_dag = dagger(psi_mat)  # Psi^dag has Psi's singular values, so these gates gate Psi
+    try:
+        cond = _condition_number(psi_dag)
+    except np.linalg.LinAlgError:
+        cond = math.nan
+    if not cond < CONDITION_LIMIT:  # negated, so NaN fails too
+        raise ValueError(
+            f"matrix is singular or ill-conditioned: condition estimate "
+            f"{cond:.3e} (limit {CONDITION_LIMIT:.0e})"
+        )
+    x = np.linalg.inv(psi_dag)
+    residual = psi_dag @ x
+    residual.flat[:: d + 1] -= 1  # Psi^dag X - I, without forming I
+    residual = abs(residual).max()
+    if not residual <= 1e-9 * d:  # negated, so a NaN residual fails too
+        raise ValueError(f"inversion residual {residual:.3e} exceeds {1e-9 * d:.3e}")
     if kind == "M":
         x = x @ x  # (Psi^dag Psi^dag)^-1 without squaring cond(Psi) before the inversion
     last = psi_mat, x.reshape(-1) / math.sqrt(d)
@@ -179,13 +210,15 @@ def random_schmidt_operator(d: int, rng: np.random.Generator | int) -> np.ndarra
 
     Complex Gaussian entries, rescaled; draws with condition number
     above 1e2 are rejected so the squared conditioning of the kind-M
-    inverse keeps its roundoff far below the 1e-9 gates.
+    inverse keeps its roundoff far below the 1e-9 gates.  A d that
+    ``concentrate`` would refuse is refused before the first draw.
     """
     check_local_dimension(d)
+    _check_output_dimension(d)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     while True:
         mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        if condition_number(mat) > CONDITION_CAP:
+        if _condition_number(mat) > CONDITION_CAP:
             continue
         return mat / np.sqrt(np.trace(dagger(mat) @ mat).real)

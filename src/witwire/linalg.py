@@ -2,12 +2,11 @@
 
 Matrices are plain ``numpy.ndarray`` of dtype complex; arithmetic is the
 native operators (``+``, ``-``, ``*``, ``@``, ``np.kron``, ``np.trace``,
-``.T``, ``.conj()``).  This module adds the pieces that carry contracts:
-Hermitian eigendecomposition that refuses non-Hermitian input instead of
-symmetrizing silently, and inversion guarded by a condition estimate.
-It also owns the input gates the other modules share: integers, the
-local dimension, square and operator shape, Hermiticity, and the trace
-and eigenvalue tolerances.
+``.T``, ``.conj()``).  This module holds what two or more modules
+share: the Hermitian eigendecomposition, which refuses non-Hermitian
+input instead of symmetrizing silently, and the input gates: integers,
+the local dimension, square and operator shape, Hermiticity, and the
+trace and eigenvalue tolerances.
 
 Everything here is sized for small dense problems; MAX_DIM = 256 caps
 the dense matrices the library builds, which the Hermitian eigensolver
@@ -34,13 +33,6 @@ MAX_DIM = 256
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_TOL = 1e-9
-
-# Reject inversion above this condition estimate.
-CONDITION_LIMIT = 1e12
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -133,45 +125,3 @@ def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     vals, _ = hermitian_eig(a)
     return float(vals[0])
-
-
-def condition_number(a: np.ndarray) -> float:
-    """``np.linalg.cond(a)`` of a finite square matrix, without its wrapper.
-
-    The ratio of the extreme singular values, inf when the smallest is 0
-    (``cond``'s NaN -> inf rule, so the zero matrix gives inf too).
-    LAPACK raises ``np.linalg.LinAlgError`` on NaN entries.
-    """
-    s = np.linalg.svd(a, compute_uv=False).tolist()  # float division: an overflow is inf, silently
-    return s[0] / s[-1] if s[-1] else math.inf
-
-
-def inverse(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse, refused for non-finite entries or a condition estimate of 1e12 or worse.
-
-    The estimate is ``condition_number``, the value ``np.linalg.cond``
-    returns.  Non-finite input is named only once the estimate has
-    failed, so finite input pays nothing for that check.
-    """
-    a = square(a)
-    if not a.size:
-        raise ValueError("cannot invert an empty matrix")
-    try:
-        cond = condition_number(a)
-    except np.linalg.LinAlgError:
-        cond = math.nan
-    if not cond < CONDITION_LIMIT:  # negated, so NaN fails too
-        if not np.isfinite(a).all():
-            raise ValueError("matrix has non-finite entries")
-        raise ValueError(
-            f"matrix is singular or ill-conditioned: condition estimate "
-            f"{cond:.3e} (limit {CONDITION_LIMIT:.0e})"
-        )
-    inv = np.linalg.inv(a)
-    n = a.shape[0]
-    residual = a @ inv
-    residual.flat[:: n + 1] -= 1  # a @ inv - I, without forming I
-    residual = abs(residual).max()
-    if not residual <= 1e-9 * n:  # negated, so a NaN residual fails too
-        raise ValueError(f"inversion residual {residual:.3e} exceeds {1e-9 * n:.3e}")
-    return inv

@@ -25,12 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EIG_TOL, PAULI_X, PAULI_Y, PAULI_Z, check_hermitian, check_operator, checked_integer
-from .linalg import hermitian_eig
+from .linalg import EIG_TOL, check_hermitian, check_operator, checked_integer, min_eigenvalue
 from .ppt import partial_transpose
 from .states import bell, projector, w_state
 
 PRODUCT_FLOOR = -1e-9
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,7 @@ def validate_witness(spec: WitnessSpec, samples: int, seed: int) -> ValidationRe
     a sampled product-state minimum not below -1e-9.  For kind
     "positive_semidefinite": requires no eigenvalue below -EIG_TOL.
     """
-    vals, _ = hermitian_eig(spec.matrix)
-    low = float(vals[0])
+    low = min_eigenvalue(spec.matrix)
     floor = min_product_expectation(spec.matrix, list(spec.dims), samples, seed)
     if spec.kind == "positive_semidefinite":
         passed = low >= -EIG_TOL

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -174,11 +175,21 @@ def test_concentrate_beyond_two_copy_dense_limit():
             assert delta < 1e-9
 
 
-def test_concentrate_rejects_output_above_max_dim():
+def test_concentrate_rejects_output_above_max_dim(monkeypatch, capsys):
     psi_mat = np.eye(17, dtype=complex) / np.sqrt(17.0)  # 17^2 = 289 > MAX_DIM
     for call in (conc.concentrate, conc.probability_consistency, conc.measurement_vector):
         with pytest.raises(ValueError, match="MAX_DIM"):
             call(psi_mat, "m")
+
+    # and before any draw: a large d almost never gives a draw within CONDITION_CAP
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Psi was drawn")
+
+    monkeypatch.setattr(conc, "_condition_number", forbidden)
+    with pytest.raises(ValueError, match=re.escape("output state dimension 17^2 exceeds MAX_DIM=256")):
+        conc.random_schmidt_operator(17, 0)
+    assert cli.main(["concentrate", "--d", "200"]) == 2
+    assert capsys.readouterr().err == "error: output state dimension 200^2 exceeds MAX_DIM=256\n"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -246,7 +257,7 @@ def test_each_call_validates_psi_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(conc, "check_schmidt_operator", counting("check", conc.check_schmidt_operator))
-    monkeypatch.setattr(conc, "inverse", counting("inverse", conc.inverse))
+    monkeypatch.setattr(np.linalg, "inv", counting("inverse", np.linalg.inv))
     psi_mat = conc.random_schmidt_operator(3, 151)
     # a fresh (Psi, kind) validates and inverts Psi^dag once, for both
     # kinds (kind "M" squares that inverse); the same (Psi, kind) called
@@ -384,6 +395,32 @@ def test_ill_conditioned_psi_is_refused_by_every_call():
         for kind in ("m", "M"):
             with pytest.raises(ValueError, match="ill-conditioned"):
                 call(swap, kind)
+
+
+def test_a_bad_inverse_is_refused_by_the_residual_gate(monkeypatch):
+    good = conc.random_schmidt_operator(3, 173)
+    bad = conc.random_schmidt_operator(3, 179)
+    conc.concentrate(good, "M")
+    exact = np.linalg.inv
+
+    def off(a):
+        inv = exact(a)
+        inv[0, 1] += 1e-6
+        return inv
+
+    monkeypatch.setattr(np.linalg, "inv", off)
+    for call in CALLS:
+        for kind in ("m", "M"):
+            with pytest.raises(ValueError, match="^inversion residual"):
+                call(bad, kind)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inverted again")
+
+    # the refusals kept nothing, so the good Psi is still kept and hits
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    conc.probability_consistency(good, "M")
+    conc.measurement_vector(good, "M")
 
 
 def test_threads_sharing_the_kept_result_get_their_own_psi_results():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from witwire import concentration as conc
 from witwire import linalg
 from witwire.ppt import check_density_matrix
+from witwire.witnesses import PAULI_X
 
 
 def random_hermitian(rng, n):
@@ -74,8 +76,33 @@ def test_every_hermiticity_gate_names_non_finite_input(gate, bad):
 
 def test_min_eigenvalue_known_values():
     assert abs(linalg.min_eigenvalue(np.diag([3.0, -1.0, 1.0])) + 1.0) < 1e-14
-    xx = np.kron(linalg.PAULI_X, linalg.PAULI_X)
+    xx = np.kron(PAULI_X, PAULI_X)
     assert abs(linalg.min_eigenvalue(xx) + 1.0) < 1e-14
+
+
+# The guarded inverse is concentration's: Psi^dag is inverted in one
+# place, behind Psi's own gates, for every entry point and both kinds.
+ENTRY_POINTS = (conc.concentrate, conc.probability_consistency, conc.measurement_vector)
+
+
+def _evict():
+    """Make the next call on any other (Psi, kind) a fresh one."""
+    conc.measurement_vector(np.diag([0.6, 0.8]).astype(complex), "m")
+
+
+def _forbid_inverse(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the input reached the inverse")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+
+
+def _refused_by_every_entry_point(psi_mat, match):
+    for call in ENTRY_POINTS:
+        for kind in ("m", "M"):
+            with pytest.raises(ValueError, match=match):
+                call(psi_mat, kind)
 
 
 def test_inverse_roundtrip():
@@ -83,46 +110,54 @@ def test_inverse_roundtrip():
     for n in [2, 3, 4, 6]:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a += 3.0 * np.eye(n)  # keep it comfortably invertible
-        inv = linalg.inverse(a)
-        assert np.max(np.abs(a @ inv - np.eye(n))) < 1e-10
-        assert np.max(np.abs(inv @ a - np.eye(n))) < 1e-10
+        psi_mat = a / np.linalg.norm(a)
+        psi_dag = linalg.dagger(psi_mat)
+        for kind, inverted in (("m", psi_dag), ("M", psi_dag @ psi_dag)):
+            inv = conc.measurement_vector(psi_mat, kind)[0].reshape(n, n) * np.sqrt(n)
+            assert np.max(np.abs(inverted @ inv - np.eye(n))) < 1e-10
+            assert np.max(np.abs(inv @ inverted - np.eye(n))) < 1e-10
 
 
 def test_inverse_rejects_singular():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        linalg.inverse(singular)
+    _refused_by_every_entry_point(singular / np.linalg.norm(singular), "singular or ill-conditioned")
 
 
-def test_inverse_refuses_the_zero_and_the_empty_matrix():
-    with pytest.raises(ValueError, match="condition estimate inf"):
-        linalg.inverse(np.zeros((3, 3), dtype=complex))
-    with pytest.raises(ValueError, match="empty matrix"):
-        linalg.inverse(np.zeros((0, 0), dtype=complex))
+def test_inverse_refuses_the_zero_and_the_empty_matrix(monkeypatch):
+    _forbid_inverse(monkeypatch)
+    _refused_by_every_entry_point(np.zeros((3, 3), dtype=complex), r"^Tr\(Psi\^dag Psi\) = 0\.0,")
+    _refused_by_every_entry_point(np.zeros((0, 0), dtype=complex), "^local dimension must be >= 2, got 0$")
 
 
-def test_inverse_refuses_an_inverse_that_overflowed():
-    # well conditioned (cond 1), but 1/a overflows and the residual is NaN
-    with pytest.raises(ValueError, match="inversion residual nan"):
-        linalg.inverse(np.array([[2.22507386e-313j]]))
+def test_inverse_refuses_an_inverse_that_overflowed(monkeypatch):
+    # as if 1/a had overflowed: the residual is NaN, which the gate refuses
+    exact = np.linalg.inv
+
+    def overflowed(a):
+        inv = exact(a)
+        inv[0, 0] = np.inf
+        return inv
+
+    _evict()
+    monkeypatch.setattr(np.linalg, "inv", overflowed)
+    with np.errstate(invalid="ignore"):  # 0 * inf in the residual product
+        _refused_by_every_entry_point(np.eye(2, dtype=complex) / np.sqrt(2.0), "^inversion residual nan exceeds")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
 @pytest.mark.parametrize("n", [1, 2, 4])
-def test_inverse_names_non_finite_entries(n, bad):
+def test_inverse_names_non_finite_entries(n, bad, monkeypatch):
     a = np.eye(n, dtype=complex)
     a[0, n - 1] = bad
-    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
-        linalg.inverse(a)
+    _forbid_inverse(monkeypatch)
+    _refused_by_every_entry_point(a, "^Psi has non-finite entries$")
 
 
 @st.composite
 def small_square_matrices(draw):
-    """Random, rank-deficient or all-zero d x d complex matrices, d <= 4."""
-    d = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["random", "rank_deficient", "zero"] if d > 1 else ["random", "zero"]))
-    if kind == "zero":
-        return np.zeros((d, d), dtype=complex)
+    """Random or rank-deficient d x d complex matrices, 2 <= d <= 4, with a Frobenius norm to divide by."""
+    d = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["random", "rank_deficient"]))
     parts = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
     def block(rows, cols):
@@ -131,32 +166,35 @@ def small_square_matrices(draw):
         return (np.array(re) + 1j * np.array(im)).reshape(rows, cols)
 
     if kind == "random":
-        return block(d, d)
-    rank = draw(st.integers(0, d - 1))
-    return block(d, rank) @ block(rank, d)
+        a = block(d, d)
+    else:
+        rank = draw(st.integers(1, d - 1))
+        a = block(d, rank) @ block(rank, d)
+    assume(np.linalg.norm(a) > 1e-100)  # a zero or underflowing norm leaves no Psi = a / |a|
+    return a
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_square_matrices())
 @example(np.array([[0.0, 8j], [4.19761955e-308j, 0.0]]))  # the ratio overflows to inf
 def test_inverse_gates_on_exactly_np_linalg_cond(a):
-    ratio = linalg.condition_number(a)
-    cond = np.linalg.cond(a)
+    psi_mat = a / np.linalg.norm(a)
+    psi_dag = linalg.dagger(psi_mat)
+    ratio = conc._condition_number(psi_dag)
+    cond = np.linalg.cond(psi_dag)
     assert ratio == cond or (np.isinf(ratio) and np.isinf(cond))
-    if not cond < linalg.CONDITION_LIMIT:
-        with pytest.raises(ValueError, match="singular or ill-conditioned"):
-            linalg.inverse(a)
+    if not cond < conc.CONDITION_LIMIT:
+        _refused_by_every_entry_point(psi_mat, "singular or ill-conditioned")
         return
-    try:
-        inv = linalg.inverse(a)
-    except ValueError as exc:  # past the condition gate only the residual gate remains
-        assert "inversion residual" in str(exc)
-    else:
-        assert np.array_equal(inv, np.linalg.inv(a))
-
-
-def test_pauli_matrices():
-    for p in (linalg.PAULI_X, linalg.PAULI_Y, linalg.PAULI_Z):
-        assert np.allclose(p @ p, np.eye(2))
-        assert linalg.hermiticity_defect(p) <= linalg.HERMITICITY_TOL
-        assert abs(np.trace(p)) < 1e-15
+    for call in ENTRY_POINTS:
+        for kind in ("m", "M"):
+            try:
+                out = call(psi_mat, kind)
+            except ValueError as exc:  # past the condition gate only the residual gate remains,
+                # and concentrate's refusal of a vanishing outcome probability
+                assert "inversion residual" in str(exc) or (
+                    call is conc.concentrate and "measurement outcome has probability" in str(exc)
+                )
+                continue
+            if call is conc.measurement_vector and kind == "m":
+                assert np.array_equal(out[0], np.linalg.inv(psi_dag).reshape(-1) / np.sqrt(psi_mat.shape[0]))

@@ -6,13 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import min_product_expectation_oracle, product_state_batch
 from witwire import witnesses
-from witwire.linalg import hermitian_eig
+from witwire.linalg import HERMITICITY_TOL, hermitian_eig, hermiticity_defect
 from witwire.states import projector, w_state
 
 
 def eigs(name, b=None):
     vals, _ = hermitian_eig(witnesses.catalog(name, b=b).matrix)
     return vals
+
+
+def test_pauli_matrices():
+    for p in (witnesses.PAULI_X, witnesses.PAULI_Y, witnesses.PAULI_Z):
+        assert np.allclose(p @ p, np.eye(2))
+        assert hermiticity_defect(p) <= HERMITICITY_TOL
+        assert abs(np.trace(p)) < 1e-15
 
 
 def test_pair_witness_spectra():
