@@ -12,7 +12,7 @@ digits), so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from pathlib import Path
 
@@ -21,17 +21,13 @@ import numpy as np
 from . import concentration as conc
 from .ppt import ppt_threshold
 from .reproduce import DEFAULT_SEED, REPRODUCE_IDS, reproduce
-from .scenario import fmt, parse_scenario, round15, run_scenario, run_to_csv, run_to_json
+from .scenario import fmt, json_text, parse_scenario, round15, run_scenario, run_to_csv, run_to_json
 from .states import FAMILIES
 from .witnesses import catalog, catalog_names, validate_witness
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _write_report(path: str, obj: dict) -> None:
-    Path(path).write_text(_dump(obj), encoding="utf-8")
+    Path(path).write_text(json_text(obj), encoding="utf-8")
     print(f"report written to {path}")
 
 
@@ -57,7 +53,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             print(("pass" if check["pass"] else "FAIL") + "  " + check["name"])
         _write_report(args.out, report)
     else:
-        sys.stdout.write(_dump(report))
+        sys.stdout.write(json_text(report))
     return 0 if report["all_pass"] else 1
 
 
@@ -213,14 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 # built on the first main() call, not at import, and reused by every later
 # call: parse_args leaves the parser as it found it, usage errors included
-_PARSER: argparse.ArgumentParser | None = None
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

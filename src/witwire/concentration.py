@@ -24,13 +24,15 @@ first draw.
 
 Psi is validated, gated (condition estimate below CONDITION_LIMIT, then
 residual max|Psi^dag X - I| <= 1e-9 d) and Psi^dag inverted in one
-place, which keeps its last result: a back-to-back call on the same
-(Psi, kind), such as ``concentrate`` and then ``probability_consistency``,
-reuses the one guarded inverse.
+place, ``_gated``, an ``lru_cache`` of size 1 keyed by (shape, bytes,
+kind): a back-to-back call on the same (Psi, kind), such as
+``concentrate`` and then ``probability_consistency``, reuses the one
+guarded inverse, and a call that raises keeps nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,29 +85,17 @@ def _condition_number(a: np.ndarray) -> float:
     return s[0] / s[-1] if s[-1] else math.inf
 
 
-# The last (shape, bytes, kind) that _checked_vector passed, with its
-# (psi, vec).  One entry covers every caller's back-to-back pair on one Psi;
-# a call that raises leaves it as it was.  Key and result are one tuple,
-# replaced whole, so a thread that hits reads the result of its own key.
-_last: tuple = (None, None)
+@functools.lru_cache(maxsize=1)
+def _gated(shape: tuple[int, int], data: bytes, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The Psi of ``data`` validated, gated and inverted, with ``measurement_vector``'s vector.
 
-
-def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Psi validated, gated and inverted, once, with ``measurement_vector``'s vector.
-
-    The result is kept for the last Psi and kind: a call with the same
-    kind and the same shape and bytes of ``square(Psi)`` returns it
-    without validating or inverting again.  The kept psi is a read-only
-    copy made from those bytes and the kept vector is never handed out,
-    so no caller can write into either.
+    Keyed by the shape and bytes of ``square(Psi)`` and the kind, and
+    kept for the last key only: one entry covers every caller's
+    back-to-back pair on one Psi, and a call that raises keeps nothing.
+    The kept psi is read-only, made from the bytes, and the kept vector
+    is never handed out, so no caller can write into either.
     """
-    global _last
-    psi_mat = square(psi_mat)
-    key = (psi_mat.shape, psi_mat.tobytes(), kind)
-    last_key, last = _last
-    if key == last_key:
-        return last
-    psi_mat = check_schmidt_operator(np.frombuffer(key[1], dtype=complex).reshape(psi_mat.shape))
+    psi_mat = check_schmidt_operator(np.frombuffer(data, dtype=complex).reshape(shape))
     d = psi_mat.shape[0]
     _check_output_dimension(d)
     if kind not in ("m", "M"):
@@ -128,9 +118,15 @@ def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"inversion residual {residual:.3e} exceeds {1e-9 * d:.3e}")
     if kind == "M":
         x = x @ x  # (Psi^dag Psi^dag)^-1 without squaring cond(Psi) before the inversion
-    last = psi_mat, x.reshape(-1) / math.sqrt(d)
-    _last = key, last
-    return last
+    return psi_mat, x.reshape(-1) / math.sqrt(d)
+
+
+def _checked_vector(psi_mat: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_gated`` on ``square(Psi)``; a kind that is not a string is refused before the keyed call."""
+    psi_mat = square(psi_mat)
+    if not isinstance(kind, str):
+        raise ValueError(f"measurement kind must be 'm' or 'M', got {kind!r}")
+    return _gated(psi_mat.shape, psi_mat.tobytes(), kind)
 
 
 def _norm(vec: np.ndarray) -> float:

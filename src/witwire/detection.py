@@ -151,7 +151,6 @@ class _Placed(NamedTuple):
 
     slots: tuple[int, ...]  # its positions among the placed slots, in its own slot order
     local_dims: tuple[int, ...]
-    copy: int  # the last copy it touches, whose block it joins
     perm: tuple[int, ...]  # the transpose of its (rows, columns) tensor into the block's axis order
     shape: tuple[int, ...]  # that tensor's broadcast shape, size 1 where it does not act
 
@@ -228,7 +227,7 @@ def _plan(copies: int, base_dims: tuple[int, ...], layout: tuple[tuple[tuple[int
             axes = rows + cols
             # sorted in Python: a first np.argsort call maps in numpy's sort kernels, 0.4 MiB of RSS
             perm = sorted(range(len(axes)), key=axes.__getitem__)
-            witnesses[j] = _Placed(at, local_dims, c, tuple(perm), tuple(shape))
+            witnesses[j] = _Placed(at, local_dims, tuple(perm), tuple(shape))
         blocks.append((c, tuple(ending[c])))
     # rho's tensor has row labels 0..n-1 and column labels n..2n-1; an
     # unplaced party's column takes its row label, which traces it out,

@@ -116,12 +116,11 @@ def _parse_family(obj: dict) -> FamilyRef:
         points = checked_integer(obj["points"], "family.points")
         if points < 2:
             raise ValueError(f"family: grid needs points >= 2, got {points}")
-        return FamilyRef(
-            name=name,
-            start=_number(obj["start"], "family.start"),
-            stop=_number(obj["stop"], "family.stop"),
-            points=points,
-        )
+        start = _number(obj["start"], "family.start")
+        stop = _number(obj["stop"], "family.stop")
+        if stop < start:
+            raise ValueError(f"family.stop: {stop} is below family.start {start}")
+        return FamilyRef(name=name, start=start, stop=stop, points=points)
     raise ValueError(f"family: {name!r} is parameterized; give value or start/stop/points")
 
 
@@ -273,6 +272,11 @@ def round15(x: float) -> float:
     return float(fmt(x))
 
 
+def json_text(obj: dict) -> str:
+    """A JSON report as written: two-space indent, sorted keys, one trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def threshold_dict(root: float) -> dict:
     # every root is exact, so the bracket [lo, hi] the format carries is the root itself
     r = round15(root)
@@ -339,4 +343,4 @@ def run_to_json(run: ScenarioRun) -> str:
                     }
                 )
             obj["sweeps"] = entries
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json_text(obj)

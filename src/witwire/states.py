@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_local_dimension, check_operator
+from .linalg import check_hermitian, check_local_dimension, check_operator
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -93,7 +93,8 @@ class StateFamily:
     cover.  Being affine is what lets ``detection.sweep`` read a k-copy
     wiring off k+1 evaluations and ``ppt.ppt_threshold`` take its root
     from one eigenproblem on the two ends.  Each end must have shape
-    (prod(dims), prod(dims)); both are kept as read-only copies.
+    (prod(dims), prod(dims)) and be Hermitian; both are kept as read-only
+    copies.
     """
 
     name: str
@@ -103,10 +104,12 @@ class StateFamily:
     ends: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # each end must be an operator on dims, or p * rho1 + (1 - p) * rho0 would broadcast
-        rho0, rho1 = (
-            check_operator(end, self.dims, f"family {self.name} end").copy() for end in self.ends
-        )
+        # each end must be an operator on dims, or p * rho1 + (1 - p) * rho0 would
+        # broadcast, and Hermitian, or a sweep would read its symmetric part
+        what = f"family {self.name} end"
+        rho0, rho1 = (check_operator(end, self.dims, what).copy() for end in self.ends)
+        for end in (rho0, rho1):
+            check_hermitian(end, what)
         object.__setattr__(self, "ends", (_frozen(rho0), _frozen(rho1)))
 
     def __call__(self, value: float) -> np.ndarray:

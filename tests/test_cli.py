@@ -293,31 +293,23 @@ def test_concentrate_rejects_dimension_above_cap(capsys):
     assert "error:" in err and "MAX_DIM" in err
 
 
-def _counting_parser(monkeypatch):
-    """Unbuilt cached parser; returns the list of build_parser calls made from here on."""
-    calls = []
-    build = cli.build_parser
-
-    def counted():
-        calls.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", counted)
-    return calls
+def _unbuilt_parser():
+    """Clear the cached parser, so the next main() call builds it."""
+    cli._parser.cache_clear()
+    assert cli._parser.cache_info().currsize == 0
 
 
-def test_main_builds_its_parser_once(monkeypatch, capsys):
-    calls = _counting_parser(monkeypatch)
+def test_main_builds_its_parser_once(capsys):
+    _unbuilt_parser()
     assert cli.main(["ppt", "werner_w"]) == 0
     assert cli.main(["ppt", "werner_a"]) == 0
-    assert len(calls) == 1
+    assert cli._parser.cache_info()[:2] == (1, 1)  # (hits, misses): built once, then reused
     out = capsys.readouterr().out
     assert "threshold 0.666666666666667" in out and "threshold 0.333333333333333" in out
 
 
-def test_a_usage_error_leaves_the_parser_reusable(monkeypatch, capsys):
-    calls = _counting_parser(monkeypatch)
+def test_a_usage_error_leaves_the_parser_reusable(capsys):
+    _unbuilt_parser()
     assert cli.main(["ppt", "werner_w"]) == 0
     with pytest.raises(SystemExit) as exc:
         cli.main(["ppt"])  # the family is missing
@@ -331,7 +323,7 @@ def test_a_usage_error_leaves_the_parser_reusable(monkeypatch, capsys):
     helped = capsys.readouterr().out
     assert helped.startswith("usage: witwire sweep") and "--points" in helped
     assert cli.main(["ppt", "noisy_w"]) == 0
-    assert len(calls) == 1
+    assert cli._parser.cache_info()[:2] == (4, 1)
 
 
 def test_importing_the_cli_builds_no_parser():
@@ -344,14 +336,14 @@ def test_importing_the_cli_builds_no_parser():
         "    init(self, *a, **k)\n"
         "argparse.ArgumentParser.__init__ = counted\n"
         "import witwire.cli as cli\n"
-        "print(len(built), cli._PARSER is None)\n"
+        "print(len(built), cli._parser.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(witwire.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "True"]
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -290,6 +290,14 @@ def test_each_call_validates_psi_once(monkeypatch):
     assert counts == {"check": 4, "inverse": 3}
 
 
+@pytest.mark.parametrize("kind", [["m"], None], ids=["list", "none"])
+@pytest.mark.parametrize("call", CALLS, ids=lambda f: f.__name__)
+def test_a_kind_that_is_not_a_string_is_refused_by_name(call, kind):
+    # refused before the kept result's key, where an unhashable kind would raise TypeError
+    with pytest.raises(ValueError, match=rf"^measurement kind must be 'm' or 'M', got {re.escape(repr(kind))}$"):
+        call(conc.random_schmidt_operator(2, 3), kind)
+
+
 def _results(psi_mat, kind) -> list:
     """Every public output for (Psi, kind), in one list of arrays and floats."""
     res = conc.concentrate(psi_mat, kind)

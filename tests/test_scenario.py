@@ -223,6 +223,17 @@ def test_witness_param_name_may_not_overwrite_an_output_field(name):
         sc.parse_scenario(_edited("ex4_pb_w3", ("witness_param", "name"), name))
 
 
+def test_a_reversed_grid_is_refused_by_its_stop():
+    # it was refused only at run time, as "grid [0.6, 0.4] outside werner_a range [0.0, 1.0]"
+    raw = _shipped("ex4_p_w3")
+    raw["family"].update(name="werner_a", start=0.6, stop=0.4)
+    with pytest.raises(ValueError, match=r"^family\.stop: 0\.4 is below family\.start 0\.6$"):
+        sc.parse_scenario(json.dumps(raw))
+    raw["family"]["stop"] = 0.6  # the zero-width sweep stays valid
+    run = sc.run_scenario(sc.parse_scenario(json.dumps(raw)))
+    assert run.reports[0][1].params[0] == run.reports[0][1].params[-1] == 0.6
+
+
 def test_run_point_scenarios():
     run = sc.run_scenario(load_scenario("ex1_cross"))
     assert run.kind == "point"

@@ -137,6 +137,16 @@ def test_family_ends_must_be_operators_on_its_dims(end, message):
         states.StateFamily("toy", (2, 2), "t", (0.0, 1.0), (np.eye(4) / 4.0, end))
 
 
+def test_family_ends_must_be_hermitian():
+    # a real, non-symmetric end used to be swept as its symmetric part
+    end = np.diag([1.0, 0.0, 0.0, 0.0])
+    end[0, 3] = 0.2
+    with pytest.raises(ValueError, match=r"^family toy end is not Hermitian: max\|A - A\^dag\| = 2\.000e-01"):
+        states.StateFamily("toy", (2, 2), "t", (0.0, 1.0), (np.eye(4) / 4.0, end))
+    with pytest.raises(ValueError, match=r"^family toy end is not Hermitian: it has non-finite entries$"):
+        states.StateFamily("toy", (2, 2), "t", (0.0, 1.0), (np.full((4, 4), np.nan), end.T @ end))
+
+
 def test_fixed_states_table():
     for name, (rho, dims) in states.FIXED_STATES.items():
         check_density_matrix(rho, list(dims))
