@@ -23,9 +23,9 @@ and no operator on all the placed slots (D_p x D_p, D_p <= D the
 product of the placed dims) is formed unless one witness block needs
 it.  MAX_DIM still caps D_p.  Every state family is affine in its
 parameter, so along it the trace is a polynomial of degree at most
-``copies``: a sweep evaluates the wiring at copies+1 Chebyshev nodes,
-reads its grid off the interpolant, and its thresholds off the
-interpolant's roots.
+``copies``: a sweep over its bounds in [0, 1] evaluates the wiring at
+copies+1 Chebyshev nodes, reads its grid off the interpolant, and its
+thresholds off the interpolant's roots.
 """
 
 from __future__ import annotations
@@ -423,18 +423,19 @@ def _sign_changes(
     return roots
 
 
-def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> DetectionReport:
-    """Evaluate the wiring on a uniform parameter grid and locate its sign changes.
+def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201, bounds=(0.0, 1.0)) -> DetectionReport:
+    """Evaluate the wiring on a uniform grid over ``bounds`` and locate its sign changes.
 
-    Every family is affine in its parameter, so Tr(Wiring rho(p)^(x)k)
-    is a polynomial of degree at most k = ``spec.copies`` in p, evaluated
-    once at each of k+1 Chebyshev nodes; a non-finite value raises, as in
-    the evaluator.  The grid is read off the polynomial; a zero-width
-    range takes one direct evaluation, and a range too narrow for k+1
-    distinct nodes raises.  The thresholds are its real roots of odd
-    multiplicity in the range, from ``_sign_changes`` with the floor
-    1e-12 * (1 + max|node value|), so a tangent zero is not one and
-    ``grid_points`` does not change them.
+    The grid covers ``bounds`` = (lo, hi) of the family's [0, 1] segment;
+    anything but 0 <= lo <= hi <= 1 (NaN included) raises.  The family
+    is affine, so Tr(Wiring rho(p)^(x)k) is a polynomial of degree at
+    most k = ``spec.copies`` in p, evaluated once at each of k+1
+    Chebyshev nodes; a non-finite value raises, as in the evaluator.
+    The grid is read off the polynomial; a zero-width range takes one
+    direct evaluation, and one too narrow for k+1 distinct nodes raises.
+    The thresholds are its real roots of odd multiplicity in the range,
+    from ``_sign_changes`` with the floor 1e-12 * (1 + max|node value|),
+    so a tangent zero is not one and ``grid_points`` does not change them.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -442,7 +443,9 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201) -> Dete
         raise ValueError(
             f"family {family.name} has dims {family.dims}, wiring expects {spec.base_dims}"
         )
-    lo, hi = family.param_range
+    lo, hi = bounds
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ValueError(f"bounds ({lo}, {hi}) must satisfy 0 <= lo <= hi <= 1")
     params = np.linspace(lo, hi, grid_points)
     evaluate = compile_wiring(spec)
     if lo == hi:

@@ -111,15 +111,15 @@ def ppt_check(rho, dims, transposed_slots) -> PptVerdict:
 def ppt_threshold(family: StateFamily, transposed_slots) -> float:
     """Parameter where the family's minimum partial-transpose eigenvalue crosses zero.
 
-    The slots obey the module's slot rule.  Every family is affine, so
-    the partial transpose along the range is P0 + s (P1 - P0); from an
-    end P0 = U diag(l) U^dag with l > EIG_TOL it is congruent to
-    I + s L^dag (P1 - P0) L, L = U diag(l)^(-1/2), and it crosses zero
-    at s = -1/nu_min if nu_min <= -1; otherwise this raises.
+    The slots obey the module's slot rule.  Every family is the segment
+    between its ends, so its partial transpose is P0 + s (P1 - P0) on
+    [0, 1]; from an end P0 = U diag(l) U^dag with l > EIG_TOL it is
+    congruent to I + s L^dag (P1 - P0) L, L = U diag(l)^(-1/2), and it
+    crosses zero at s = -1/nu_min if nu_min <= -1; otherwise this raises.
     """
     slots = _checked_slots(transposed_slots, len(family.dims))
-    bounds = family.param_range
-    pts = [partial_transpose(family(p), list(family.dims), slots) for p in bounds]
+    bounds = (0.0, 1.0)
+    pts = [partial_transpose(end, list(family.dims), slots) for end in family.ends]
     for start in (0, 1):
         vals, vecs = hermitian_eig(pts[start])
         if vals[0] > EIG_TOL:

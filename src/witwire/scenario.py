@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import PurePath
 
 from .detection import Assignment, DetectionReport, WiringSpec, expectation, sweep
@@ -25,11 +25,35 @@ SCENARIO_VERSION = 1
 
 @dataclass(frozen=True)
 class FamilyRef:
+    """A fixed state, a family at one value, or a grid; valid by construction.
+
+    It refuses, in the parser's words, every reference the parser would;
+    a grid outside [0, 1] is left to ``detection.sweep``'s ``bounds``.
+    """
+
     name: str
     value: float | None = None
     start: float | None = None
     stop: float | None = None
     points: int | None = None
+
+    def __post_init__(self) -> None:
+        grid = [v is not None for v in (self.start, self.stop, self.points)]
+        if self.value is not None and any(grid):
+            raise ValueError("family: give either a fixed value or a grid, not both")
+        if any(grid) and not all(grid):
+            raise ValueError("family: a grid needs all of start, stop, points")
+        if self.name in FIXED_STATES and self.mode != "fixed":
+            raise ValueError(f"family: state {self.name!r} takes no parameter")
+        if self.name not in FIXED_STATES and self.name not in FAMILIES:
+            known = sorted(FAMILIES) + sorted(FIXED_STATES)
+            raise ValueError(f"family: unknown name {self.name!r}; known: {', '.join(known)}")
+        if self.name in FAMILIES and self.mode == "fixed":
+            raise ValueError(f"family: {self.name!r} is parameterized; give value or start/stop/points")
+        if self.mode == "grid" and self.points < 2:
+            raise ValueError(f"family: grid needs points >= 2, got {self.points}")
+        if self.mode == "grid" and self.stop < self.start:
+            raise ValueError(f"family.stop: {self.stop} is below family.start {self.start}")
 
     @property
     def mode(self) -> str:
@@ -97,31 +121,8 @@ def _string(value, where: str) -> str:
 def _parse_family(obj: dict) -> FamilyRef:
     _require_keys(obj, {"name", "value", "start", "stop", "points"}, {"name"}, "family")
     name = _string(obj["name"], "family.name")
-    has_value = "value" in obj
-    has_grid = any(k in obj for k in ("start", "stop", "points"))
-    if has_value and has_grid:
-        raise ValueError("family: give either a fixed value or a grid, not both")
-    if has_grid and not all(k in obj for k in ("start", "stop", "points")):
-        raise ValueError("family: a grid needs all of start, stop, points")
-    if name in FIXED_STATES:
-        if has_value or has_grid:
-            raise ValueError(f"family: state {name!r} takes no parameter")
-        return FamilyRef(name=name)
-    if name not in FAMILIES:
-        known = sorted(FAMILIES) + sorted(FIXED_STATES)
-        raise ValueError(f"family: unknown name {name!r}; known: {', '.join(known)}")
-    if has_value:
-        return FamilyRef(name=name, value=_number(obj["value"], "family.value"))
-    if has_grid:
-        points = checked_integer(obj["points"], "family.points")
-        if points < 2:
-            raise ValueError(f"family: grid needs points >= 2, got {points}")
-        start = _number(obj["start"], "family.start")
-        stop = _number(obj["stop"], "family.stop")
-        if stop < start:
-            raise ValueError(f"family.stop: {stop} is below family.start {start}")
-        return FamilyRef(name=name, start=start, stop=stop, points=points)
-    raise ValueError(f"family: {name!r} is parameterized; give value or start/stop/points")
+    reads = {"value": _number, "start": _number, "stop": _number, "points": checked_integer}
+    return FamilyRef(name, **{k: read(obj[k], f"family.{k}") for k, read in reads.items() if k in obj})
 
 
 def _parse_wiring(obj: dict) -> WiringSpec:
@@ -206,9 +207,12 @@ class ScenarioRun:
     """Evaluated scenario: one fixed value, one sweep, or one sweep per b."""
 
     scenario: Scenario
-    kind: str  # "point" or "sweep"
     point_value: float | None = None
     reports: tuple[tuple[float | None, DetectionReport], ...] = ()
+
+    @property
+    def kind(self) -> str:
+        return "sweep" if self.scenario.family.mode == "grid" else "point"
 
 
 def _with_witness_param(wiring: WiringSpec, target: str, value: float) -> WiringSpec:
@@ -242,22 +246,16 @@ def run_scenario(s: Scenario, points_override: int | None = None) -> ScenarioRun
             raise ValueError(f"scenario {s.name!r} has no parameter grid to resize")
         if fam.mode == "value":
             rho = family(fam.value)
-        return ScenarioRun(s, "point", point_value=expectation(s.wiring, rho))
+        return ScenarioRun(s, point_value=expectation(s.wiring, rho))
     points = points_override if points_override is not None else fam.points
-    lo, hi = fam.start, fam.stop
-    flo, fhi = family.param_range
-    if not (flo <= lo <= hi <= fhi):
-        raise ValueError(
-            f"grid [{lo}, {hi}] outside {family.name} range [{flo}, {fhi}]"
-        )
-    bounded = replace(family, param_range=(lo, hi))
+    bounds = (fam.start, fam.stop)
     if s.witness_param is None:
-        return ScenarioRun(s, "sweep", reports=((None, sweep(s.wiring, bounded, points)),))
+        return ScenarioRun(s, reports=((None, sweep(s.wiring, family, points, bounds)),))
     reports = []
     for b in s.witness_param.values:
         wired = _with_witness_param(s.wiring, s.witness_param.witness, b)
-        reports.append((b, sweep(wired, bounded, points)))
-    return ScenarioRun(s, "sweep", reports=tuple(reports))
+        reports.append((b, sweep(wired, family, points, bounds)))
+    return ScenarioRun(s, reports=tuple(reports))
 
 
 # ---------------------------------------------------------------------------

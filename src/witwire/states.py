@@ -87,12 +87,12 @@ _MIXED8 = _frozen(np.eye(8, dtype=complex) / 8.0)
 class StateFamily:
     """A named one-parameter family of density matrices, affine by construction.
 
-    ``ends`` holds rho(0) and rho(1); the family is
-    rho(p) = p * rho(1) + (1 - p) * rho(0) for p in [0, 1], and
-    ``param_range`` is the sub-range that sweeps and PPT thresholds
-    cover.  Being affine is what lets ``detection.sweep`` read a k-copy
-    wiring off k+1 evaluations and ``ppt.ppt_threshold`` take its root
-    from one eigenproblem on the two ends.  Each end must have shape
+    ``ends`` holds rho(0) and rho(1); the family is the segment
+    rho(p) = p * rho(1) + (1 - p) * rho(0) for p in [0, 1], and calling
+    it outside [0, 1] raises.  Being affine is what lets
+    ``detection.sweep`` read a k-copy wiring off k+1 evaluations on any
+    sub-range it is given and ``ppt.ppt_threshold`` take its root from
+    one eigenproblem on the two ends.  Each end must have shape
     (prod(dims), prod(dims)) and be Hermitian; both are kept as read-only
     copies.
     """
@@ -100,7 +100,6 @@ class StateFamily:
     name: str
     dims: tuple[int, ...]
     param_name: str
-    param_range: tuple[float, float]
     ends: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -121,9 +120,9 @@ class StateFamily:
 
 
 FAMILIES: dict[str, StateFamily] = {
-    "werner_w": StateFamily("werner_w", (2, 2), "w", (0.0, 1.0), (_PSI_PLUS, _MIXED4)),
-    "werner_a": StateFamily("werner_a", (2, 2), "a", (0.0, 1.0), (_MIXED4, _PSI_MINUS)),
-    "noisy_w": StateFamily("noisy_w", (2, 2, 2), "c", (0.0, 1.0), (_W, _MIXED8)),
+    "werner_w": StateFamily("werner_w", (2, 2), "w", (_PSI_PLUS, _MIXED4)),
+    "werner_a": StateFamily("werner_a", (2, 2), "a", (_MIXED4, _PSI_MINUS)),
+    "noisy_w": StateFamily("noisy_w", (2, 2, 2), "c", (_W, _MIXED8)),
 }
 
 # Fixed (parameterless) states addressable by name, as read-only density matrices.

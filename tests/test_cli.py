@@ -155,6 +155,17 @@ def test_sweep_names_a_misshapen_field_and_exits_2(keys, value, message, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_refuses_a_grid_outside_the_unit_segment_and_writes_nothing(tmp_path, capsys):
+    scenario = json.loads(Path(shipped_path("ex4_p_w3")).read_text(encoding="utf-8"))
+    scenario["family"]["start"] = -0.1
+    path = tmp_path / "below.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code = cli.main(["sweep", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: bounds (-0.1, 1.0) must satisfy 0 <= lo <= hi <= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_refuses_a_sink_outside_out_and_writes_nothing(tmp_path, capsys):
     scenario = json.loads(Path(shipped_path("ex4_p_w3")).read_text(encoding="utf-8"))
     scenario["outputs"][0]["path"] = str(tmp_path / "escaped.csv")

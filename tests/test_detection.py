@@ -193,7 +193,7 @@ def test_sweep_records_exact_grid_zero():
     # every number here is a dyadic rational, so the grid node at t=0.5
     # evaluates to exactly 0.0, and the root is exactly 0.5
     ends = (np.diag([0.5, 0.0, 0.25, 0.25]), np.diag([0.0, 0.5, 0.25, 0.25]))
-    fam = StateFamily("toy_diag", (2, 2), "t", (0.0, 1.0), ends)
+    fam = StateFamily("toy_diag", (2, 2), "t", ends)
     observable = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     spec = detection.wiring(1, [2, 2], [(observable, [(0, 0), (0, 1)])])
     report = detection.sweep(spec, fam, grid_points=3)
@@ -276,7 +276,7 @@ def test_evaluator_rejects_a_value_that_overflows():
 def test_sweep_rejects_non_finite_grid_values():
     # finite entries whose two-copy products overflow to inf at every interior node
     ends = (np.eye(4) / 4.0, 1e200 * np.eye(4) / 4.0)
-    fam = StateFamily("toy_blowup", (2, 2), "t", (0.0, 1.0), ends)
+    fam = StateFamily("toy_blowup", (2, 2), "t", ends)
     spec = detection.wiring(2, [2, 2], [("W3", [(0, 1), (1, 0)])])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
         detection.sweep(spec, fam, grid_points=5)
@@ -449,15 +449,27 @@ def test_sweep_calls_the_family_copies_plus_one_times(points, monkeypatch):
 def test_sweep_of_a_zero_width_range_is_one_evaluation():
     spec = load_scenario("ex5_cross").wiring
     fam = FAMILIES["noisy_w"]
-    report = detection.sweep(spec, replace(fam, param_range=(0.3, 0.3)), 7)
+    report = detection.sweep(spec, fam, 7, bounds=(0.3, 0.3))
     want = detection.compile_wiring(spec)(fam(0.3))
     assert report.params == (0.3,) * 7
     assert report.values == (want,) * 7
     assert report.thresholds == ()
     # a range too narrow for distinct interpolation nodes raises instead
-    narrow = replace(fam, param_range=(0.3, math.nextafter(0.3, 1.0)))
     with pytest.raises(ValueError, match="too narrow"):
-        detection.sweep(spec, narrow, 7)
+        detection.sweep(spec, fam, 7, bounds=(0.3, math.nextafter(0.3, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(0.9, 0.1), (-0.001, 0.9), (0.2, 1.05), (0.0, math.nan)],
+    ids=["reversed", "below_zero", "above_one", "nan"],
+)
+def test_sweep_refuses_bounds_outside_the_unit_segment(bounds):
+    # reversed bounds used to sweep ex4_p_w3 with no threshold, though its root is
+    # 0.7746, and (-0.001, 0.9) reported a value at p = -0.001, where no state exists
+    spec = load_scenario("ex4_p_w3").wiring
+    with pytest.raises(ValueError, match=r"^bounds \(.*\) must satisfy 0 <= lo <= hi <= 1$"):
+        detection.sweep(spec, FAMILIES["werner_a"], 7, bounds)
 
 
 GRID_SCENARIOS = [
@@ -467,7 +479,7 @@ GRID_SCENARIOS = [
 
 @st.composite
 def grid_scenario_sub_ranges(draw):
-    """A shipped grid scenario's wiring and family on a random sub-range of width 1e-13..1."""
+    """A shipped grid scenario's wiring, family and a random sub-range of width 1e-13..1."""
     scenario = draw(st.sampled_from(GRID_SCENARIOS))
     spec = scenario.wiring
     if scenario.witness_param is not None:
@@ -475,8 +487,8 @@ def grid_scenario_sub_ranges(draw):
         spec = _with_witness_param(spec, scenario.witness_param.witness, b)
     width = 10.0 ** draw(st.floats(-13.0, 0.0))
     lo = (1.0 - width) * draw(st.floats(0.0, 1.0))
-    fam = replace(FAMILIES[scenario.family.name], param_range=(lo, min(lo + width, 1.0)))
-    return spec, fam, draw(st.integers(2, 60))
+    bounds = (lo, min(lo + width, 1.0))
+    return spec, FAMILIES[scenario.family.name], bounds, draw(st.integers(2, 60))
 
 
 @settings(max_examples=200, deadline=None)
@@ -485,12 +497,11 @@ def test_shipped_sweeps_are_exact_polynomials_on_any_sub_range(case):
     # the family is affine, so the degree-copies interpolant is the trace
     # itself: it meets direct evaluation at both ends and every grid point
     # within the floor that the roots use, 1e-12 * (1 + max|node value|)
-    spec, fam, points = case
+    spec, fam, (lo, hi), points = case
     evaluate = detection.compile_wiring(spec)
     direct = lambda p: evaluate(fam(p))  # noqa: E731
-    lo, hi = fam.param_range
     scale = detection._chebyshev_interpolant(direct, lo, hi, spec.copies)[2]
-    report = detection.sweep(spec, fam, points)
+    report = detection.sweep(spec, fam, points, bounds=(lo, hi))
     assert (report.params[0], report.params[-1]) == (lo, hi)
     for p, v in zip(report.params, report.values):
         assert abs(v - direct(p)) <= 1e-12 * (1.0 + scale)
@@ -674,14 +685,14 @@ def family_sweeps(draw, multi_slot_raw=False):
             asg = replace(asg, witness=asg.witness - shift * np.eye(len(asg.witness)))
         assignments.append(asg)
     spec = replace(spec, assignments=tuple(assignments))
-    return spec, replace(fam, param_range=(lo, hi)), draw(st.integers(2, 40))
+    return spec, fam, (lo, hi), draw(st.integers(2, 40))
 
 
 @settings(max_examples=100, deadline=None)
 @given(family_sweeps())
 def test_sweep_values_match_direct_evaluation(case):
-    spec, fam, points = case
-    report = detection.sweep(spec, fam, points)
+    spec, fam, bounds, points = case
+    report = detection.sweep(spec, fam, points, bounds)
     evaluate = detection.compile_wiring(spec)
     for p, v in zip(report.params, report.values):
         assert abs(v - evaluate(fam(p))) < 1e-12
@@ -695,11 +706,11 @@ crossing_sweeps = family_sweeps(multi_slot_raw=True)
 @settings(max_examples=40, deadline=None)
 @given(crossing_sweeps, st.integers(2, 40))
 def test_sweep_thresholds_match_the_bisection_oracle(case, other_points):
-    spec, fam, points = case
-    thresholds = detection.sweep(spec, fam, points).thresholds
-    assert detection.sweep(spec, fam, other_points).thresholds == thresholds
+    spec, fam, bounds, points = case
+    thresholds = detection.sweep(spec, fam, points, bounds).thresholds
+    assert detection.sweep(spec, fam, other_points, bounds).thresholds == thresholds
     evaluate = detection.compile_wiring(spec)
-    want, zero_ends = sign_change_oracle(lambda p: evaluate(fam(p)), *fam.param_range)
+    want, zero_ends = sign_change_oracle(lambda p: evaluate(fam(p)), *bounds)
     # a zero at an end of the range has no outside neighbour on the
     # grid, so the oracle cannot say whether it is a sign change
     got = [t for t in thresholds if not any(abs(t - end) <= 1e-9 for end in zero_ends)]

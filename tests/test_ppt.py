@@ -1,11 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from witwire import ppt
 from witwire.ppt import partial_transpose
-from witwire.states import FAMILIES, bell, projector
+from witwire.states import FAMILIES, StateFamily, bell, projector
 
 
 def test_maximally_entangled_pt_spectrum():
@@ -105,21 +103,26 @@ def test_check_records_its_slots_as_a_tuple_of_plain_ints(slots):
     assert abs(verdict.min_eigenvalue + 0.5) < 1e-12
 
 
+def _segment(family, lo, hi):
+    """The part of ``family`` on [lo, hi], as a family of its own on [0, 1]."""
+    return StateFamily(f"{family.name}[{lo}, {hi}]", family.dims, family.param_name, (family(lo), family(hi)))
+
+
 def test_threshold_on_a_sub_range_starts_from_its_positive_definite_end():
     # no end is the maximally mixed state; the positive definite end is
-    # hi for werner_w and lo for werner_a
-    fam = replace(FAMILIES["werner_w"], param_range=(0.5, 0.9))
-    assert abs(ppt.ppt_threshold(fam, [1]) - 2.0 / 3.0) < 1e-12
-    fam = replace(FAMILIES["werner_a"], param_range=(0.1, 0.9))
-    assert abs(ppt.ppt_threshold(fam, [1]) - 1.0 / 3.0) < 1e-12
+    # hi for werner_w and lo for werner_a; 2/3 and 1/3 on the whole families
+    fam = _segment(FAMILIES["werner_w"], 0.5, 0.9)
+    assert abs(ppt.ppt_threshold(fam, [1]) - 5.0 / 12.0) < 1e-12
+    fam = _segment(FAMILIES["werner_a"], 0.1, 0.9)
+    assert abs(ppt.ppt_threshold(fam, [1]) - 7.0 / 24.0) < 1e-12
 
 
 def test_threshold_refusals():
     werner_w = FAMILIES["werner_w"]
     with pytest.raises(ValueError, match="no sign change"):
-        ppt.ppt_threshold(replace(werner_w, param_range=(0.7, 1.0)), [1])
+        ppt.ppt_threshold(_segment(werner_w, 0.7, 1.0), [1])
     with pytest.raises(ValueError, match="no positive definite"):
-        ppt.ppt_threshold(replace(werner_w, param_range=(0.0, 0.5)), [1])
+        ppt.ppt_threshold(_segment(werner_w, 0.0, 0.5), [1])
 
 
 def test_ppt_check_validates_the_state():

@@ -234,6 +234,45 @@ def test_a_reversed_grid_is_refused_by_its_stop():
     assert run.reports[0][1].params[0] == run.reports[0][1].params[-1] == 0.6
 
 
+FAMILY_REFUSALS = {
+    "both_modes": {"name": "werner_w", "value": 0.5, "start": 0.0, "stop": 1.0, "points": 3},
+    "partial_grid": {"name": "werner_w", "start": 0.0, "stop": 1.0},
+    "fixed_with_value": {"name": "bell_psi_plus", "value": 0.5},
+    "fixed_with_grid": {"name": "ghz", "start": 0.0, "stop": 1.0, "points": 3},
+    "unknown": {"name": "not_a_family"},
+    "no_value": {"name": "werner_w"},
+    "one_point": {"name": "werner_w", "start": 0.0, "stop": 1.0, "points": 1},
+    "reversed": {"name": "werner_a", "start": 0.6, "stop": 0.4, "points": 5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_REFUSALS))
+def test_a_hand_built_family_ref_is_refused_in_the_parsers_words(case):
+    # FamilyRef("werner_w") and FamilyRef("bell_psi_plus", value=0.5) used to reach
+    # run_scenario and fail there with a KeyError, and a reversed grid as out of range
+    family = FAMILY_REFUSALS[case]
+    with pytest.raises(ValueError) as parsed:
+        sc.parse_scenario(_edited("ex3_cyclic", ("family",), family))
+    with pytest.raises(ValueError) as built:
+        sc.FamilyRef(**family)
+    assert str(built.value) == str(parsed.value)
+
+
+def test_a_grid_outside_the_unit_segment_is_refused_by_the_sweep():
+    raw = _shipped("ex4_p_w3")
+    raw["family"]["start"] = -0.1
+    scenario = sc.parse_scenario(json.dumps(raw))
+    with pytest.raises(ValueError, match=r"^bounds \(-0\.1, 1\.0\) must satisfy 0 <= lo <= hi <= 1$"):
+        sc.run_scenario(scenario)
+
+
+def test_the_run_kind_is_read_off_the_scenario():
+    grid, fixed = load_scenario("ex4_p_w3"), load_scenario("ex1_cross")
+    assert sc.ScenarioRun(grid).kind == "sweep"
+    assert sc.ScenarioRun(fixed).kind == "point"
+    assert sc.ScenarioRun(replace(grid, family=sc.FamilyRef("werner_a", value=0.5))).kind == "point"
+
+
 def test_run_point_scenarios():
     run = sc.run_scenario(load_scenario("ex1_cross"))
     assert run.kind == "point"
@@ -376,6 +415,6 @@ def test_csv_matches_the_oracle_when_the_grid_changes_between_b_values():
         (2.5, DetectionReport("a", shared, awkward[::-1], ())),
         (1e-20, DetectionReport("a", shared, awkward, ())),
     )
-    _assert_renders_like_the_oracle(sc.ScenarioRun(load_scenario("ex4_pb_w3"), "sweep", reports=reports))
+    _assert_renders_like_the_oracle(sc.ScenarioRun(load_scenario("ex4_pb_w3"), reports=reports))
     single = ((None, DetectionReport("a", shared, awkward, ())),)
-    _assert_renders_like_the_oracle(sc.ScenarioRun(load_scenario("ex4_p_w3"), "sweep", reports=single))
+    _assert_renders_like_the_oracle(sc.ScenarioRun(load_scenario("ex4_p_w3"), reports=single))

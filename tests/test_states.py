@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -64,14 +64,13 @@ def test_sigma_is_a_pure_state_with_imaginary_coherences():
 def test_parameterized_families_are_density_matrices():
     rng = np.random.default_rng(5)
     for name, fam in states.FAMILIES.items():
-        lo, hi = fam.param_range
-        for p in [lo, hi, *rng.uniform(lo, hi, size=5)]:
+        for p in [0.0, 1.0, *rng.uniform(0.0, 1.0, size=5)]:
             rho = fam(float(p))
             check_density_matrix(rho, list(fam.dims))
         with pytest.raises(ValueError):
-            fam(lo - 0.25)
+            fam(-0.25)
         with pytest.raises(ValueError):
-            fam(hi + 0.25)
+            fam(1.25)
 
 
 def test_werner_w_endpoints():
@@ -110,20 +109,17 @@ def test_family_parameter_outside_the_unit_interval_is_refused():
         werner_w(1.5)
     with pytest.raises(ValueError, match=r"^parameter w=nan outside"):
         werner_w(float("nan"))
-    # the sub-range a sweep covers does not narrow where the family is defined
-    narrow = replace(werner_w, param_range=(0.2, 0.4))
-    assert np.array_equal(narrow(0.9), werner_w(0.9))
 
 
 def test_family_ends_are_read_only_copies():
     ends = (np.eye(4, dtype=complex) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    family = states.StateFamily("toy", (2, 2), "t", (0.0, 1.0), ends)
+    family = states.StateFamily("toy", (2, 2), "t", ends)
     ends[0][0, 0] = 7.0  # the caller's arrays stay the caller's
     assert family(0.0)[0, 0] == 0.25
     for end in family.ends:
         with pytest.raises(ValueError, match="read-only"):
             end[0, 0] = 1.0
-    assert len(fields(states.StateFamily)) == 5
+    assert [f.name for f in fields(states.StateFamily)] == ["name", "dims", "param_name", "ends"]
 
 
 @pytest.mark.parametrize(
@@ -134,7 +130,7 @@ def test_family_ends_are_read_only_copies():
 def test_family_ends_must_be_operators_on_its_dims(end, message):
     # a scalar end would broadcast into every entry of p * rho1 + (1 - p) * rho0
     with pytest.raises(ValueError, match=message):
-        states.StateFamily("toy", (2, 2), "t", (0.0, 1.0), (np.eye(4) / 4.0, end))
+        states.StateFamily("toy", (2, 2), "t", (np.eye(4) / 4.0, end))
 
 
 def test_family_ends_must_be_hermitian():
@@ -142,9 +138,9 @@ def test_family_ends_must_be_hermitian():
     end = np.diag([1.0, 0.0, 0.0, 0.0])
     end[0, 3] = 0.2
     with pytest.raises(ValueError, match=r"^family toy end is not Hermitian: max\|A - A\^dag\| = 2\.000e-01"):
-        states.StateFamily("toy", (2, 2), "t", (0.0, 1.0), (np.eye(4) / 4.0, end))
+        states.StateFamily("toy", (2, 2), "t", (np.eye(4) / 4.0, end))
     with pytest.raises(ValueError, match=r"^family toy end is not Hermitian: it has non-finite entries$"):
-        states.StateFamily("toy", (2, 2), "t", (0.0, 1.0), (np.full((4, 4), np.nan), end.T @ end))
+        states.StateFamily("toy", (2, 2), "t", (np.full((4, 4), np.nan), end.T @ end))
 
 
 def test_fixed_states_table():
