@@ -426,8 +426,9 @@ def _sign_changes(
 def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201, bounds=(0.0, 1.0)) -> DetectionReport:
     """Evaluate the wiring on a uniform grid over ``bounds`` and locate its sign changes.
 
-    The grid covers ``bounds`` = (lo, hi) of the family's [0, 1] segment;
-    anything but 0 <= lo <= hi <= 1 (NaN included) raises.  The family
+    The grid of ``grid_points`` (an integer >= 2) covers ``bounds`` =
+    (lo, hi) of the family's [0, 1] segment; anything but
+    0 <= lo <= hi <= 1 (NaN included) raises.  The family
     is affine, so Tr(Wiring rho(p)^(x)k) is a polynomial of degree at
     most k = ``spec.copies`` in p, evaluated once at each of k+1
     Chebyshev nodes; a non-finite value raises, as in the evaluator.
@@ -437,6 +438,7 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201, bounds=
     from ``_sign_changes`` with the floor 1e-12 * (1 + max|node value|),
     so a tangent zero is not one and ``grid_points`` does not change them.
     """
+    grid_points = checked_integer(grid_points, "grid_points")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     if tuple(family.dims) != tuple(spec.base_dims):

@@ -38,6 +38,8 @@ class FamilyRef:
     points: int | None = None
 
     def __post_init__(self) -> None:
+        if self.points is not None:  # the parser reads it before any rule below
+            checked_integer(self.points, "family.points")
         grid = [v is not None for v in (self.start, self.stop, self.points)]
         if self.value is not None and any(grid):
             raise ValueError("family: give either a fixed value or a grid, not both")

@@ -7,20 +7,26 @@ the separable minimum, not a proof; it is meant to catch sign and
 normalization mistakes, and the analytic separability statements are
 covered by the fixed expected values in the test suite.
 
-The samples are a fixed stream for each seed: chunks of 20000, and in
-each chunk one (2, count, d) block of standard normals per party, in
-party order, real parts then imaginary parts of the unnormalized local
-vectors g.  A sample is never formed as a product vector: the operator
-is written once as a real tensor over the Hermitian basis of each
-party (|i><i|, then |i><j| + |j><i| and i|i><j| - i|j><i| for i < j),
-each g g^dag as its d^2 real coordinates in that basis, and the
-expectation is their contraction divided by the product of the |g|^2.
+The samples are fixed for each seed: chunks of 10000, chunk 0 drawn
+from ``default_rng(seed)`` and chunk i >= 1 from its own stream
+``default_rng(SeedSequence(seed, spawn_key=(i,)))``, and in each chunk
+one (2, count, d) block of standard normals per party, in party order,
+real parts then imaginary parts of the unnormalized local vectors g.
+The chunks are independent, so they run on every CPU the process may
+use, and the minimum does not depend on how many.  A sample is never
+formed as a product vector: the operator is written once as a real
+tensor over the Hermitian basis of each party (|i><i|, then
+|i><j| + |j><i| and i|i><j| - i|j><i| for i < j), each g g^dag as its
+d^2 real coordinates in that basis, and the expectation is their
+contraction divided by the product of the |g|^2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,9 +144,10 @@ def catalog_names() -> tuple[str, ...]:
     return _CANONICAL_NAMES
 
 
-# The chunk size decides which draws go to which party, so a new value
-# would change every sampled state of every seed.
-_CHUNK = 20000
+# The chunk size decides which draws go to which party and which stream
+# each chunk reads, so a new value would change the sampled states of
+# every call of more than one chunk.
+_CHUNK = 10000
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -197,6 +204,35 @@ def _local_coordinates(parts: np.ndarray, out: np.ndarray, scratch: np.ndarray) 
         out[k + len(pairs)] -= np.multiply(x[i], y[j], out=tmp)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _residue_minimum(t: np.ndarray, dims: list[int], samples: int, seed: int, first: int, step: int) -> float:
+    """Minimum over the chunks first, first + step, ...: one worker's share, with its own buffers."""
+    size = min(samples, _CHUNK)
+    coords = [np.empty((d * d, size)) for d in dims]
+    scratch = np.empty((max(dims), size))
+    best = np.inf
+    for i in range(first, -(-samples // _CHUNK), step):
+        count = min(samples - i * _CHUNK, _CHUNK)
+        rng = np.random.default_rng(seed if i == 0 else np.random.SeedSequence(seed, spawn_key=(i,)))
+        chunk = [c[:, :count] for c in coords]
+        for d, c in zip(dims, chunk):
+            _local_coordinates(rng.standard_normal((2, count, d)), c, scratch[:d, :count])
+        vals = t @ chunk[-1]
+        norms = chunk[-1][: dims[-1]].sum(axis=0)
+        for d, c in zip(dims[-2::-1], chunk[-2::-1]):
+            vals = np.einsum("abk,bk->ak", vals.reshape(-1, d * d, count), c)
+            norms *= c[:d].sum(axis=0)
+        best = min(best, float((vals[0] / norms).min()))
+    return best
+
+
 def min_product_expectation(
     matrix: np.ndarray,
     dims: list[int],
@@ -208,39 +244,54 @@ def min_product_expectation(
     An upper bound on the true separable minimum (sampling can only
     miss the minimizer, never undershoot it).  Each local state is
     g = x + iy, x and y vectors of standard normals, normalized: the
-    Haar measure on local pure states; ``seed`` fixes the stream
-    described in the module docstring.  A sample's value is
-    ``_coordinate_tensor(matrix)`` contracted with each party's real
-    coordinates of g g^dag (one GEMM for the last party, a
-    multiply-and-sum for each other), divided once by the product of
-    the |g|^2.  The matrix must be finite, of shape
-    (prod(dims), prod(dims)) and Hermitian within HERMITICITY_TOL.
+    Haar measure on local pure states; ``seed`` (an integer >= 0)
+    fixes the chunked streams described in the module docstring, so
+    up to 10000 samples come from ``default_rng(seed)`` alone.  A
+    sample's value is ``_coordinate_tensor(matrix)`` contracted with
+    each party's real coordinates of g g^dag (one GEMM for the last
+    party, a multiply-and-sum for each other), divided once by the
+    product of the |g|^2.  The calling thread takes chunks 0, w, 2w, ...
+    and each of w - 1 helper threads another residue class, w the
+    smaller of the chunk count and the usable CPUs; all are joined
+    before return, and the minimum of minima does not depend on w.
+    The matrix must be finite, of shape (prod(dims), prod(dims)) and
+    Hermitian within HERMITICITY_TOL.
     """
+    samples = checked_integer(samples, "samples")
+    seed = checked_integer(seed, "seed")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     dims = [checked_integer(d, f"dims[{i}]") for i, d in enumerate(dims)]
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be a nonempty list of positive dimensions, got {dims}")
     matrix = check_operator(matrix, dims, "matrix")
     check_hermitian(matrix, "matrix")
     t = _coordinate_tensor(matrix, dims).reshape(-1, dims[-1] ** 2)
-    rng = np.random.default_rng(seed)
-    size = min(samples, _CHUNK)
-    coords = [np.empty((d * d, size)) for d in dims]
-    scratch = np.empty((max(dims), size))
-    best = np.inf
-    for start in range(0, samples, _CHUNK):
-        count = min(samples - start, _CHUNK)
-        chunk = [c[:, :count] for c in coords]
-        for d, c in zip(dims, chunk):
-            _local_coordinates(rng.standard_normal((2, count, d)), c, scratch[:d, :count])
-        vals = t @ chunk[-1]
-        norms = chunk[-1][: dims[-1]].sum(axis=0)
-        for d, c in zip(dims[-2::-1], chunk[-2::-1]):
-            vals = np.einsum("abk,bk->ak", vals.reshape(-1, d * d, count), c)
-            norms *= c[:d].sum(axis=0)
-        best = min(best, float((vals[0] / norms).min()))
-    return best
+    workers = min(-(-samples // _CHUNK), _usable_cpus())
+    lows = [np.inf] * workers
+    errors = []
+
+    def take(first: int) -> None:
+        try:
+            lows[first] = _residue_minimum(t, dims, samples, seed, first, workers)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for k in range(1, workers):
+            helper = threading.Thread(target=take, args=(k,))
+            helper.start()
+            helpers.append(helper)
+        take(0)
+    finally:
+        for h in helpers:
+            h.join()
+    if errors:
+        raise errors[0]
+    return min(lows)
 
 
 def validate_witness(spec: WitnessSpec, samples: int, seed: int) -> ValidationReport:

@@ -340,17 +340,18 @@ def product_state_batch(dims, count, rng):
 
 
 def min_product_expectation_oracle(matrix, dims, samples, seed):
-    """Minimum of <v|matrix|v> over the seeded product vectors, 20000 per chunk."""
+    """Minimum of <v|matrix|v> over the seeded product vectors, chunk by chunk in one thread.
+
+    Chunks of 10000: chunk 0 from default_rng(seed), chunk i >= 1 from
+    default_rng(SeedSequence(seed, spawn_key=(i,))).
+    """
     matrix = np.asarray(matrix, dtype=complex)
-    rng = np.random.default_rng(seed)
     best = np.inf
-    remaining = samples
-    while remaining > 0:
-        count = min(remaining, 20000)
-        vecs = product_state_batch(dims, count, rng)
+    for i, start in enumerate(range(0, samples, 10000)):
+        rng = np.random.default_rng(seed if i == 0 else np.random.SeedSequence(seed, spawn_key=(i,)))
+        vecs = product_state_batch(dims, min(samples - start, 10000), rng)
         vals = np.einsum("bi,ij,bj->b", vecs.conj(), matrix, vecs).real
         best = min(best, float(vals.min()))
-        remaining -= count
     return best
 
 

@@ -472,6 +472,15 @@ def test_sweep_refuses_bounds_outside_the_unit_segment(bounds):
         detection.sweep(spec, FAMILIES["werner_a"], 7, bounds)
 
 
+@pytest.mark.parametrize("points", [2.5, 7.0, True], ids=["fraction", "float", "bool"])
+def test_sweep_refuses_a_non_integer_point_count_by_name(points):
+    # 2.5 reached np.linspace and raised a bare TypeError; 7.0 and True ran as 7 and 1 points
+    spec = load_scenario("ex4_p_w3").wiring
+    with pytest.raises(ValueError) as exc:
+        detection.sweep(spec, FAMILIES["werner_a"], points)
+    assert str(exc.value) == f"grid_points: expected an integer, got {points!r}"
+
+
 GRID_SCENARIOS = [
     s for s in map(load_scenario, shipped_scenario_names()) if s.family.mode == "grid"
 ]

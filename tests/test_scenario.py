@@ -243,6 +243,7 @@ FAMILY_REFUSALS = {
     "no_value": {"name": "werner_w"},
     "one_point": {"name": "werner_w", "start": 0.0, "stop": 1.0, "points": 1},
     "reversed": {"name": "werner_a", "start": 0.6, "stop": 0.4, "points": 5},
+    "fractional_points": {"name": "werner_a", "start": 0.1, "stop": 0.9, "points": 2.5},
 }
 
 
@@ -264,6 +265,12 @@ def test_a_grid_outside_the_unit_segment_is_refused_by_the_sweep():
     scenario = sc.parse_scenario(json.dumps(raw))
     with pytest.raises(ValueError, match=r"^bounds \(-0\.1, 1\.0\) must satisfy 0 <= lo <= hi <= 1$"):
         sc.run_scenario(scenario)
+
+
+def test_a_non_integer_points_override_is_refused_by_name():
+    # it reached np.linspace and raised a bare TypeError
+    with pytest.raises(ValueError, match=r"^grid_points: expected an integer, got 2\.5$"):
+        sc.run_scenario(load_scenario("ex4_p_w3"), points_override=2.5)
 
 
 def test_the_run_kind_is_read_off_the_scenario():

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +130,7 @@ def test_min_product_expectation_sees_entangled_directions():
 @settings(max_examples=30, deadline=None)
 @given(
     dims=st.sampled_from([[2], [3], [2, 2], [2, 3], [3, 2], [2, 2, 2], [2, 3, 2]]),
-    samples=st.sampled_from([1, 19999, 20000, 20001, 40001]),
+    samples=st.sampled_from([1, witnesses._CHUNK - 1, witnesses._CHUNK, witnesses._CHUNK + 1, 4 * witnesses._CHUNK + 1]),
     seed=st.integers(0, 2**32 - 1),
     entries=st.integers(0, 2**32 - 1),
 )
@@ -155,18 +160,24 @@ def test_min_product_expectation_rejects_a_shape_that_does_not_match_dims():
 
 
 @pytest.mark.parametrize(
-    "dims, message",
+    "dims, samples, seed, message",
     [
-        ([2.9, 2.1], "dims[0]: expected an integer, got 2.9"),
-        ([True, 4], "dims[0]: expected an integer, got True"),
-        ([2, "2"], "dims[1]: expected an integer, got '2'"),
+        ([2.9, 2.1], 100, 0, "dims[0]: expected an integer, got 2.9"),
+        ([True, 4], 100, 0, "dims[0]: expected an integer, got True"),
+        ([2, "2"], 100, 0, "dims[1]: expected an integer, got '2'"),
+        ([2, 2], 2.5, 0, "samples: expected an integer, got 2.5"),
+        ([2, 2], True, 0, "samples: expected an integer, got True"),
+        ([2, 2], 100, 2.5, "seed: expected an integer, got 2.5"),
+        ([2, 2], 100, True, "seed: expected an integer, got True"),
+        ([2, 2], 100, -1, "seed must be >= 0, got -1"),
     ],
-    ids=["float_dims", "bool_dim", "string_dim"],
+    ids=["float_dims", "bool_dim", "string_dim", "float_samples", "bool_samples", "float_seed", "bool_seed", "negative_seed"],
 )
-def test_min_product_expectation_refuses_a_non_integer_dim(dims, message):
-    # int() would read [2.9, 2.1] as [2, 2], and [True, 4] as one 4-level party
+def test_min_product_expectation_refuses_a_non_integer_dim(dims, samples, seed, message):
+    # int() would read [2.9, 2.1] as [2, 2], and [True, 4] as one 4-level party;
+    # samples=2.5 and seed=2.5 raised a bare TypeError, and seed=True ran seed 1
     with pytest.raises(ValueError) as exc:
-        witnesses.min_product_expectation(witnesses.catalog("W").matrix, dims, 100, seed=0)
+        witnesses.min_product_expectation(witnesses.catalog("W").matrix, dims, samples, seed)
     assert str(exc.value) == message
 
 
@@ -174,6 +185,45 @@ def test_min_product_expectation_reads_numpy_integer_dims_as_their_values():
     w = witnesses.catalog("W").matrix
     want = witnesses.min_product_expectation(w, [2, 2], 100, seed=0)
     assert witnesses.min_product_expectation(w, np.array([2, 2]), 100, seed=0) == want
+
+
+def test_a_multi_chunk_call_leaves_no_thread_behind_and_repeats_bit_for_bit():
+    w = witnesses.catalog("W3").matrix
+    before = threading.active_count()
+    first = witnesses.min_product_expectation(w, [2, 2], 4 * witnesses._CHUNK + 1, seed=5)
+    assert threading.active_count() == before
+    for _ in range(3):
+        assert witnesses.min_product_expectation(w, [2, 2], 4 * witnesses._CHUNK + 1, seed=5) == first
+
+
+@pytest.mark.parametrize("chunks, cpus", [(1, 8), (5, 2), (5, 3), (5, 8)])
+def test_the_minimum_does_not_depend_on_how_many_cpus_share_the_chunks(monkeypatch, chunks, cpus):
+    # the calling thread and min(chunks, cpus) - 1 helpers, each on its own residue class
+    w = witnesses.catalog("WW1")
+    args = (w.matrix, list(w.dims), (chunks - 1) * witnesses._CHUNK + 1, 12)
+    monkeypatch.setattr(witnesses, "_usable_cpus", lambda: 1)
+    serial = witnesses.min_product_expectation(*args)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(witnesses, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    assert witnesses.min_product_expectation(*args) == serial
+    assert len(started) == min(chunks, cpus) - 1
+    assert not any(t.is_alive() for t in started)
+
+
+def test_importing_witwire_leaves_concurrent_futures_out():
+    # concurrent.futures imports logging, a few ms on every process start
+    env = dict(os.environ, PYTHONPATH=str(Path(witnesses.__file__).resolve().parents[1]))
+    code = "import sys, witwire\nprint('concurrent.futures' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_min_product_expectation_rejects_a_non_hermitian_matrix():
