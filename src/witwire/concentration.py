@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_DIM, TRACE_TOL, check_local_dimension, dagger, square
+from .linalg import MAX_DIM, TRACE_TOL, check_local_dimension, checked_integer, dagger, square
 
 # Refuse to invert Psi^dag at this condition estimate or worse.
 CONDITION_LIMIT = 1e12
@@ -206,9 +206,10 @@ def random_schmidt_operator(d: int, rng: np.random.Generator | int) -> np.ndarra
 
     Complex Gaussian entries, rescaled; draws with condition number
     above 1e2 are rejected so the squared conditioning of the kind-M
-    inverse keeps its roundoff far below the 1e-9 gates.  A d that
-    ``concentrate`` would refuse is refused before the first draw.
+    inverse keeps its roundoff far below the 1e-9 gates.  A d that is
+    not an integer or that ``concentrate`` would refuse is refused before any draw.
     """
+    d = checked_integer(d, "d")
     check_local_dimension(d)
     _check_output_dimension(d)
     if not isinstance(rng, np.random.Generator):

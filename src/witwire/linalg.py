@@ -64,6 +64,13 @@ def checked_integer(value, where: str) -> int:
     return int(value)
 
 
+def checked_seed(seed) -> int:
+    """``seed`` as an int, refused unless an integer >= 0: the seeds numpy's generators take."""
+    if checked_integer(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 def check_local_dimension(d: int) -> None:
     """Raise unless ``d`` is at least 2: a tensor slot holds a qubit or more."""
     if d < 2:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import concentration as conc
 from . import detection, ppt
+from .linalg import checked_seed
 from .scenario import Scenario, parse_scenario, round15, run_scenario
 from .states import FAMILIES, sigma_imaginarity
 
@@ -98,7 +99,8 @@ def _recorded(name: str, value: float) -> dict:
 
 def _point(name: str) -> float:
     run = run_scenario(load_scenario(name))
-    assert run.kind == "point"
+    if run.kind != "point":
+        raise ValueError(f"scenario {name!r} sweeps a grid; a check here reads one fixed value")
     return run.point_value
 
 
@@ -308,11 +310,12 @@ REPRODUCE_IDS = tuple(_RUNNERS)
 
 
 def reproduce(example_id: str, seed: int = DEFAULT_SEED) -> dict:
-    """Run one example's canonical computation and grade it."""
+    """Run one example's canonical computation and grade it; ``seed`` is an integer >= 0."""
     if example_id not in _RUNNERS:
         raise ValueError(
             f"unknown example id {example_id!r}; known: {', '.join(REPRODUCE_IDS)}"
         )
+    seed = checked_seed(seed)
     checks, notes = _RUNNERS[example_id](seed)
     report = {
         "id": example_id,

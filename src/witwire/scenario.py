@@ -5,14 +5,16 @@ parameter grid), a wiring, and optional output sinks.  The format is
 JSON with a strict schema: unknown fields are rejected rather than
 ignored, so a typo like "witnes" fails loudly instead of silently
 evaluating something else.  The library reads scenario files; it
-does not write them.
+does not write them.  Each dataclass here is valid by construction,
+parsed or built by hand, so ``parse_scenario`` raises every scenario
+rule (reading only JSON types itself) and ``run_scenario`` evaluates.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import PurePath
 
 from .detection import Assignment, DetectionReport, WiringSpec, expectation, sweep
@@ -68,19 +70,41 @@ class FamilyRef:
 
 @dataclass(frozen=True)
 class WitnessParam:
+    """A b-axis: each of ``values`` (a non-empty list or tuple) in turn is ``witness``'s param."""
+
     witness: str
     name: str
     values: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.values, (list, tuple)) or not self.values:
+            raise ValueError("witness_param.values: expected a non-empty list")
+
 
 @dataclass(frozen=True)
 class OutputSink:
+    """A csv or json file at a relative ``path`` without '..'; a refusal names the field (``path: …``)."""
+
     format: str
     path: str
+
+    def __post_init__(self) -> None:
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format: expected 'csv' or 'json', got {self.format!r}")
+        path = PurePath(self.path) if isinstance(self.path, str) else None
+        if path is None or not path.parts or path.anchor or ".." in path.parts:
+            raise ValueError(f"path: expected a relative file path without '..', got {self.path!r}")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A scenario, valid by construction, parsed or built by hand.
+
+    Refuses an unknown version, a file two sinks write, state dims other
+    than the wiring's (in every family mode), and a b-axis off a grid,
+    named like an output field or aimed at no wired witness.
+    """
+
     version: int
     name: str
     seed: int
@@ -88,6 +112,26 @@ class Scenario:
     wiring: WiringSpec
     witness_param: WitnessParam | None = None
     outputs: tuple[OutputSink, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        if self.version != SCENARIO_VERSION:
+            raise ValueError(f"unsupported scenario version {self.version}")
+        paths = [PurePath(o.path) for o in self.outputs]  # "x.out" and "./x.out" are one file
+        for idx, (path, sink) in enumerate(zip(paths, self.outputs)):
+            if path in paths[:idx]:
+                raise ValueError(f"outputs[{idx}].path: {sink.path!r} is already written by an earlier sink")
+        fam, base_dims = self.family, list(self.wiring.base_dims)
+        dims = list(FIXED_STATES[fam.name][1] if fam.mode == "fixed" else FAMILIES[fam.name].dims)
+        if dims != base_dims:
+            raise ValueError(f"state {fam.name} has dims {dims}, wiring expects {base_dims}")
+        wp = self.witness_param
+        if wp is not None:
+            if fam.mode != "grid":
+                raise ValueError(f"witness_param needs a parameter grid; state {fam.name} has one point")
+            if wp.name in ("points", "thresholds", "value", FAMILIES[fam.name].param_name):
+                raise ValueError(f"witness_param.name: {wp.name!r} names a field of the sweep's output")
+            if canonical_name(wp.witness) not in {canonical_name(a.witness) for a in self.wiring.assignments}:
+                raise ValueError(f"witness_param targets {wp.witness!r} but no assignment uses it")
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -154,51 +198,30 @@ def parse_scenario(text: str) -> Scenario:
         {"version", "name", "seed", "family", "wiring"},
         "scenario",
     )
-    if checked_integer(obj["version"], "version") != SCENARIO_VERSION:
-        raise ValueError(f"unsupported scenario version {obj['version']}")
+    version = checked_integer(obj["version"], "version")
     family = _parse_family(obj["family"])
     wiring = _parse_wiring(obj["wiring"])
     witness_param = None
     if "witness_param" in obj:
         wp = obj["witness_param"]
         _require_keys(wp, {"witness", "name", "values"}, {"witness", "name", "values"}, "witness_param")
-        if not isinstance(wp["values"], list) or not wp["values"]:
-            raise ValueError("witness_param.values: expected a non-empty list")
-        name, fam = _string(wp["name"], "witness_param.name"), FAMILIES.get(family.name)
-        if name in ("points", "thresholds", "value", fam and fam.param_name):
-            raise ValueError(f"witness_param.name: {name!r} names a field of the sweep's output")
-        witness_param = WitnessParam(
-            witness=_string(wp["witness"], "witness_param.witness"),
-            name=name,
-            values=tuple(
-                _number(v, f"witness_param.values[{i}]") for i, v in enumerate(wp["values"])
-            ),
-        )
-    sinks, outputs, paths = obj.get("outputs", []), [], set()
+        axis_name = _string(wp["name"], "witness_param.name")
+        witness = _string(wp["witness"], "witness_param.witness")
+        values = wp["values"]  # a non-list goes to WitnessParam as is, which refuses it as it refuses []
+        if isinstance(values, list):
+            values = tuple(_number(v, f"witness_param.values[{i}]") for i, v in enumerate(values))
+        witness_param = WitnessParam(witness, axis_name, values)
+    sinks, outputs = obj.get("outputs", []), []
     if not isinstance(sinks, list):
         raise ValueError(f"outputs: expected a list of sinks, got {sinks!r}")
     for idx, sink in enumerate(sinks):
-        where = f"outputs[{idx}]"
-        _require_keys(sink, {"format", "path"}, {"format", "path"}, where)
-        if sink["format"] not in ("csv", "json"):
-            raise ValueError(f"{where}.format: expected 'csv' or 'json', got {sink['format']!r}")
-        # a sink writes under the output directory, and to a file no other sink writes
-        path = PurePath(sink["path"]) if isinstance(sink["path"], str) else None
-        if path is None or not path.parts or path.anchor or ".." in path.parts:
-            raise ValueError(f"{where}.path: expected a relative file path without '..', got {sink['path']!r}")
-        if path in paths:
-            raise ValueError(f"{where}.path: {sink['path']!r} is already written by an earlier sink")
-        paths.add(path)
-        outputs.append(OutputSink(format=sink["format"], path=sink["path"]))
-    return Scenario(
-        version=SCENARIO_VERSION,
-        name=_string(obj["name"], "name"),
-        seed=checked_integer(obj["seed"], "seed"),
-        family=family,
-        wiring=wiring,
-        witness_param=witness_param,
-        outputs=tuple(outputs),
-    )
+        _require_keys(sink, {"format", "path"}, {"format", "path"}, f"outputs[{idx}]")
+        try:
+            outputs.append(OutputSink(sink["format"], sink["path"]))
+        except ValueError as exc:  # OutputSink names the field; this adds where it sits
+            raise ValueError(f"outputs[{idx}].{exc}") from None
+    name, seed = _string(obj["name"], "name"), checked_integer(obj["seed"], "seed")
+    return Scenario(version, name, seed, family, wiring, witness_param, tuple(outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -219,45 +242,24 @@ class ScenarioRun:
 
 def _with_witness_param(wiring: WiringSpec, target: str, value: float) -> WiringSpec:
     canon = canonical_name(target)
-    hits = [canonical_name(a.witness) == canon for a in wiring.assignments]
-    if not any(hits):
-        raise ValueError(f"witness_param targets {target!r} but no assignment uses it")
-    replaced = tuple(
-        Assignment(a.witness, a.slots, value) if hit else a
-        for a, hit in zip(wiring.assignments, hits)
-    )
-    return WiringSpec(wiring.copies, wiring.base_dims, replaced)
+    return replace(wiring, assignments=tuple(
+        Assignment(a.witness, a.slots, value) if canonical_name(a.witness) == canon else a
+        for a in wiring.assignments
+    ))
 
 
 def run_scenario(s: Scenario, points_override: int | None = None) -> ScenarioRun:
-    """Evaluate the scenario: the state's dims must be the wiring's base dims in every mode."""
-    fam = s.family
-    if fam.mode == "fixed":
-        rho, dims = FIXED_STATES[fam.name]
-    else:
-        family = FAMILIES[fam.name]
-        dims = family.dims
-    if tuple(dims) != tuple(s.wiring.base_dims):
-        raise ValueError(
-            f"state {fam.name} has dims {list(dims)}, wiring expects {list(s.wiring.base_dims)}"
-        )
+    """Evaluate the scenario; its construction checked every rule but ``points_override``'s."""
+    fam, wp = s.family, s.witness_param
     if fam.mode != "grid":
-        if s.witness_param is not None:
-            raise ValueError(f"witness_param needs a parameter grid; state {fam.name} has one point")
         if points_override is not None:
             raise ValueError(f"scenario {s.name!r} has no parameter grid to resize")
-        if fam.mode == "value":
-            rho = family(fam.value)
+        rho = FIXED_STATES[fam.name][0] if fam.mode == "fixed" else FAMILIES[fam.name](fam.value)
         return ScenarioRun(s, point_value=expectation(s.wiring, rho))
     points = points_override if points_override is not None else fam.points
-    bounds = (fam.start, fam.stop)
-    if s.witness_param is None:
-        return ScenarioRun(s, reports=((None, sweep(s.wiring, family, points, bounds)),))
-    reports = []
-    for b in s.witness_param.values:
-        wired = _with_witness_param(s.wiring, s.witness_param.witness, b)
-        reports.append((b, sweep(wired, family, points, bounds)))
-    return ScenarioRun(s, reports=tuple(reports))
+    family, bounds = FAMILIES[fam.name], (fam.start, fam.stop)
+    axis = [(b, _with_witness_param(s.wiring, wp.witness, b)) for b in wp.values] if wp else [(None, s.wiring)]
+    return ScenarioRun(s, reports=tuple((b, sweep(w, family, points, bounds)) for b, w in axis))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +293,9 @@ def run_to_csv(run: ScenarioRun) -> str:
     per cell.
     """
     s = run.scenario
-    if run.kind == "point":
-        lines = ["param,value"]
-        # fixed states have no parameter; leave the column empty
+    if run.kind == "point":  # a fixed state has no parameter; its column is left empty
         pv = fmt(s.family.value) if s.family.mode == "value" else ""
-        lines.append(f"{pv},{fmt(run.point_value)}")
-        return "\n".join(lines) + "\n"
+        return f"param,value\n{pv},{fmt(run.point_value)}\n"
     if s.witness_param is None:
         lines = ["param,value"]
         _, report = run.reports[0]
@@ -325,22 +324,13 @@ def run_to_json(run: ScenarioRun) -> str:
             obj["param"] = round15(s.family.value)
     else:
         obj["kind"] = "sweep"
+        entries = [
+            {"points": len(r.params), "thresholds": [threshold_dict(t) for t in r.thresholds]}
+            for _, r in run.reports
+        ]
         if s.witness_param is None:
-            _, report = run.reports[0]
-            obj["param_name"] = report.param_name
-            obj["points"] = len(report.params)
-            obj["thresholds"] = [threshold_dict(t) for t in report.thresholds]
+            obj.update(entries[0], param_name=run.reports[0][1].param_name)
         else:
-            obj["param_name"] = FAMILIES[s.family.name].param_name
-            obj["axis"] = s.witness_param.name
-            entries = []
-            for b, report in run.reports:
-                entries.append(
-                    {
-                        s.witness_param.name: round15(b),
-                        "points": len(report.params),
-                        "thresholds": [threshold_dict(t) for t in report.thresholds],
-                    }
-                )
-            obj["sweeps"] = entries
+            obj.update(param_name=FAMILIES[s.family.name].param_name, axis=s.witness_param.name)
+            obj["sweeps"] = [{s.witness_param.name: round15(b), **e} for (b, _), e in zip(run.reports, entries)]
     return json_text(obj)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EIG_TOL, check_hermitian, check_operator, checked_integer, min_eigenvalue
+from .linalg import EIG_TOL, check_hermitian, check_operator, checked_integer, checked_seed, min_eigenvalue
 from .ppt import partial_transpose
 from .states import bell, projector, w_state
 
@@ -258,11 +258,9 @@ def min_product_expectation(
     Hermitian within HERMITICITY_TOL.
     """
     samples = checked_integer(samples, "samples")
-    seed = checked_integer(seed, "seed")
+    seed = checked_seed(seed)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     dims = [checked_integer(d, f"dims[{i}]") for i, d in enumerate(dims)]
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be a nonempty list of positive dimensions, got {dims}")

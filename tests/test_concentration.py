@@ -202,6 +202,17 @@ def test_non_finite_psi_raises_by_name(bad):
                 call(psi_mat, kind)
 
 
+@pytest.mark.parametrize("d", [2.5, "3", True])
+def test_a_d_that_is_not_an_integer_is_refused_by_name_before_any_draw(monkeypatch, d):
+    # 2.5 passed the range checks and raised a bare TypeError from numpy; "3" one from <
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Psi was drawn")
+
+    monkeypatch.setattr(conc, "_condition_number", forbidden)
+    with pytest.raises(ValueError, match="^" + re.escape(f"d: expected an integer, got {d!r}") + "$"):
+        conc.random_schmidt_operator(d, 0)
+
+
 @pytest.mark.parametrize("d", [-1, 0, 1])
 def test_local_dimension_below_two_is_refused_by_name(d, capsys):
     message = f"local dimension must be >= 2, got {d}"

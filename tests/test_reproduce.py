@@ -1,11 +1,16 @@
 """Checks along a family are read off one sweep per wiring."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 import witwire
+import witwire.reproduce as reproduce_module
 from witwire import detection
 from witwire.reproduce import reproduce, three_copy_cyclic
+from witwire.scenario import json_text
 from witwire.states import FAMILIES
 
 
@@ -80,3 +85,37 @@ def test_the_reproduce_module_is_reachable_by_import_as():
     assert r.reproduce is reproduce
     assert witwire.reproduce is r
     assert "reproduce" not in witwire.__all__ and "REPRODUCE_IDS" in witwire.__all__
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be >= 0, got -1"),
+        ("abc", "seed: expected an integer, got 'abc'"),
+        (True, "seed: expected an integer, got True"),
+        (2.5, "seed: expected an integer, got 2.5"),
+    ],
+    ids=["negative", "string", "bool", "float"],
+)
+def test_reproduce_refuses_a_bad_seed_before_any_runner(monkeypatch, seed, message):
+    # -1 and "abc" were echoed into the report, True ran seed 1, and 2.5 raised
+    # a bare TypeError from numpy in ex2
+    def forbidden(seed):
+        raise AssertionError("a runner ran")
+
+    monkeypatch.setitem(reproduce_module._RUNNERS, "ex2", forbidden)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        reproduce("ex2", seed=seed)
+
+
+def test_reproduce_writes_a_numpy_integer_seed_as_a_json_integer():
+    # np.int64(3) went into the report as is, and json_text could not serialize it
+    report = reproduce("ex1", seed=np.int64(3))
+    assert type(report["seed"]) is int
+    assert json.loads(json_text(report))["seed"] == 3
+
+
+def test_a_point_check_on_a_grid_scenario_is_refused_by_name():
+    # an assert guarded it, which python -O strips
+    with pytest.raises(ValueError, match=r"^scenario 'ex4_p_w3' sweeps a grid"):
+        reproduce_module._point("ex4_p_w3")

@@ -259,6 +259,69 @@ def test_a_hand_built_family_ref_is_refused_in_the_parsers_words(case):
     assert str(built.value) == str(parsed.value)
 
 
+def _with_param(s, **edits):
+    return replace(s, witness_param=replace(s.witness_param, **edits))
+
+
+# each rule a scenario file can break, by the edit of ex4_pb_w3 that breaks it
+# and by the hand-built replace of the parsed scenario that does the same
+SCENARIO_REFUSALS = {
+    "version": (("version",), 99, lambda s: replace(s, version=99)),
+    "empty_values": (("witness_param", "values"), [], lambda s: _with_param(s, values=())),
+    "name_points": (("witness_param", "name"), "points", lambda s: _with_param(s, name="points")),
+    "name_thresholds": (("witness_param", "name"), "thresholds", lambda s: _with_param(s, name="thresholds")),
+    "name_value": (("witness_param", "name"), "value", lambda s: _with_param(s, name="value")),
+    "name_of_the_family_parameter": (("witness_param", "name"), "a", lambda s: _with_param(s, name="a")),
+    "unwired_target": (("witness_param", "witness"), "W1", lambda s: _with_param(s, witness="W1")),
+    "repeated_path": (
+        ("outputs", 1, "path"),
+        "./ex4_pb_w3.csv",
+        lambda s: replace(s, outputs=(s.outputs[0], replace(s.outputs[1], path="./ex4_pb_w3.csv"))),
+    ),
+    "state_dims": (
+        ("family",),
+        {"name": "noisy_w", "start": 0.0, "stop": 1.0, "points": 5},
+        lambda s: replace(s, family=sc.FamilyRef("noisy_w", start=0.0, stop=1.0, points=5)),
+    ),
+    "axis_without_grid": (
+        ("family",),
+        {"name": "werner_a", "value": 0.5},
+        lambda s: replace(s, family=sc.FamilyRef("werner_a", value=0.5)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_REFUSALS))
+def test_a_hand_built_scenario_is_refused_in_the_parsers_words(case):
+    # an empty b-axis rendered a CSV of only its header and "sweeps": [], and the
+    # axis name "a" the header a,a,value: the parser refused both, replace did not
+    path, value, build = SCENARIO_REFUSALS[case]
+    with pytest.raises(ValueError) as parsed:
+        sc.parse_scenario(_edited("ex4_pb_w3", path, value))
+    with pytest.raises(ValueError) as built:
+        build(load_scenario("ex4_pb_w3"))
+    assert str(built.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("format", "xml"), ("format", ["csv"]), ("path", "/abs/x"), ("path", "../x"), ("path", ""), ("path", 3)],
+    ids=["xml", "format_list", "absolute", "parent", "empty", "not_a_string"],
+)
+def test_a_hand_built_sink_is_refused_in_the_parsers_words(field, value):
+    # the parser says where the sink sits; the sink names its field
+    with pytest.raises(ValueError) as parsed:
+        sc.parse_scenario(_edited("ex4_pb_w3", ("outputs", 1, field), value))
+    with pytest.raises(ValueError) as built:
+        replace(load_scenario("ex4_pb_w3").outputs[1], **{field: value})
+    assert str(parsed.value) == f"outputs[1].{built.value}"
+
+
+def test_a_sink_in_an_unknown_format_at_an_absolute_path_is_refused_by_its_format():
+    with pytest.raises(ValueError, match=r"^format: expected 'csv' or 'json', got 'xml'$"):
+        sc.OutputSink("xml", "/abs/x")
+
+
 def test_a_grid_outside_the_unit_segment_is_refused_by_the_sweep():
     raw = _shipped("ex4_p_w3")
     raw["family"]["start"] = -0.1
@@ -307,8 +370,8 @@ def test_run_witness_param_fanout():
 def test_witness_param_must_match_an_assignment():
     raw = _shipped("ex4_pb_w3")
     raw["witness_param"]["witness"] = "W1"  # wired witnesses are P_b and W3
-    parsed = sc.parse_scenario(json.dumps(raw))
     with pytest.raises(ValueError, match="no assignment"):
+        parsed = sc.parse_scenario(json.dumps(raw))
         sc.run_scenario(parsed, points_override=5)
 
 

@@ -217,6 +217,31 @@ def test_the_minimum_does_not_depend_on_how_many_cpus_share_the_chunks(monkeypat
     assert not any(t.is_alive() for t in started)
 
 
+def test_a_helper_threads_error_is_raised_in_the_caller_and_no_thread_outlives_the_call(monkeypatch):
+    residue_minimum = witnesses._residue_minimum
+
+    def failing(t, dims, samples, seed, first, step):
+        if first == 1:
+            raise RuntimeError("helper 1 failed")
+        return residue_minimum(t, dims, samples, seed, first, step)
+
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(witnesses, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(witnesses, "_residue_minimum", failing)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    w = witnesses.catalog("W3")
+    with pytest.raises(RuntimeError, match="^helper 1 failed$"):
+        witnesses.min_product_expectation(w.matrix, list(w.dims), 2 * witnesses._CHUNK, seed=0)
+    assert len(started) == 1
+    assert not any(t.is_alive() for t in started)
+
+
 def test_importing_witwire_leaves_concurrent_futures_out():
     # concurrent.futures imports logging, a few ms on every process start
     env = dict(os.environ, PYTHONPATH=str(Path(witnesses.__file__).resolve().parents[1]))
