@@ -11,11 +11,13 @@ nonnegative, which is the whole point of the construction.
 A ``WiringSpec`` is valid by construction, so ``compile_wiring`` only
 builds, once, one block per copy where a witness ends: the product of
 the witnesses whose last copy that is, on the placed slots of that copy
-and the ones before it.  The walk over the slot layout (positions, axis
-orders, broadcast and pending shapes, reduction labels, the MAX_DIM
-refusal) is planned once per layout and kept, for up to
+and the ones before it.  The walk over the slot layout, with its
+MAX_DIM refusal, is planned in one pass per layout into flat int
+tuples (per witness its last copy, dims, axis order and broadcast
+shape; per copy its pending shape and reduction) and kept, for up to
 PLAN_CACHE_SIZE layouts, so a compile on a kept layout only resolves
-its witnesses and multiplies them into blocks.
+its witnesses and multiplies each, in assignment order, into the block
+of its last copy.
 The evaluator it returns reduces rho onto each copy's placed parties
 and sweeps the copies right to left, multiplying each copy's block in
 and contracting the copy out at once, so no rho^(x)k, no D x D object
@@ -25,7 +27,7 @@ it.  MAX_DIM still caps D_p.  Every state family is affine in its
 parameter, so along it the trace is a polynomial of degree at most
 ``copies``: a sweep over its bounds in [0, 1] evaluates the wiring at
 copies+1 Chebyshev nodes, reads its grid off the interpolant, and its
-thresholds off the interpolant's roots.
+thresholds off the interpolant's roots where its sign changes.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -146,37 +148,26 @@ def wiring(copies: int, base_dims: Sequence[int], assignments: Sequence[tuple]) 
     return WiringSpec(copies, base_dims, tuple(Assignment(*entry) for entry in assignments))
 
 
-class _Placed(NamedTuple):
-    """One witness's part of a plan: where it sits and how it joins its block."""
-
-    slots: tuple[int, ...]  # its positions among the placed slots, in its own slot order
-    local_dims: tuple[int, ...]
-    perm: tuple[int, ...]  # the transpose of its (rows, columns) tensor into the block's axis order
-    shape: tuple[int, ...]  # that tensor's broadcast shape, size 1 where it does not act
-
-
-class _Plan(NamedTuple):
-    """What ``compile_wiring`` derives from a layout alone: ints and tuples, no arrays."""
-
-    witnesses: tuple[_Placed, ...]  # in assignment order
-    blocks: tuple[tuple[int, tuple[int, ...]], ...]  # (copy, its witnesses), last copy first
-    pending: tuple[tuple[int, ...] | None, ...]  # per copy: the pending tensor's shape at its block
-    parties: tuple[tuple[int, ...], ...]  # per copy: its placed parties
-    reductions: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]  # (parties, einsum labels, out)
-
-
 # Layouts whose plans are kept.  A wirings scan, an ordering table or a
 # P_b scan places witnesses on a few slot layouts again and again.
 PLAN_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(copies: int, base_dims: tuple[int, ...], layout: tuple[tuple[tuple[int, int], ...], ...]) -> _Plan:
+def _plan(copies: int, base_dims: tuple[int, ...], layout: tuple[tuple[tuple[int, int], ...], ...]) -> tuple:
     """The plan of ``copies`` copies of ``base_dims`` with witnesses on ``layout``'s slot groups.
 
-    Keyed by the int tuples a ``WiringSpec`` stores.  A layout over
-    MAX_DIM raises, and raises again on the next call: ``lru_cache``
-    keeps no exception.
+    Keyed by the int tuples a ``WiringSpec`` stores, and made of ints
+    and tuples only: ``(witnesses, steps, reductions)``.  Per witness,
+    in assignment order, ``(last, local_dims, perm, shape)``: the last
+    copy it touches, whose block it joins; its dims; the transpose of
+    its (rows, columns) tensor into the block's axis order; and that
+    tensor's broadcast shape, size 1 where it does not act.  Per copy,
+    ``(pending, reduction)``: the shape the pending tensor takes to meet
+    the copy's block (empty where no witness ends), and the index of the
+    copy's entry in ``reductions``, one ``(einsum labels, out)`` per
+    distinct set of placed parties.  A layout over MAX_DIM raises, and
+    raises again on the next call: ``lru_cache`` keeps no exception.
     """
     per_copy: list[list[int]] = [[] for _ in range(copies)]
     for c, p in sorted(itertools.chain.from_iterable(layout)):
@@ -185,81 +176,52 @@ def _plan(copies: int, base_dims: tuple[int, ...], layout: tuple[tuple[tuple[int
     # its row axis at start + q and its column axis at stop + q, so copies
     # 0..c fill the first 2 * stop axes, and the copies above c are gone
     # by the time c's block comes in
-    slot = {}  # (copy, party) -> (q, row axis, column axis, dim)
+    slot = {}  # (copy, party) -> (row axis, column axis, dim)
     stops = []
-    total = 1
     q = 0
     for c, ps in enumerate(per_copy):
         start, stop = q, q + len(ps)
         stops.append(stop)
         for p in ps:
-            slot[c, p] = (q, start + q, stop + q, base_dims[p])
-            total *= base_dims[p]
+            slot[c, p] = (start + q, stop + q, base_dims[p])
             q += 1
+    total = math.prod(d for _, _, d in slot.values())
     if total > MAX_DIM:
         raise ValueError(f"placed-slot dimension {total} exceeds MAX_DIM={MAX_DIM}")
-    ending: list[list[int]] = [[] for _ in range(copies)]  # the witnesses whose last copy is c
-    for j, slots in enumerate(layout):
-        ending[max(slots)[0]].append(j)
-    # pending[c] is the shape the pending tensor takes to meet copy c's
-    # block: (1,) for the first block, which at most meets a factor
-    # Tr rho per empty copy above it.  ``running`` is that tensor's shape
-    # after a block: the dims of every slot a witness ending there or
-    # above acts on, size 1 elsewhere
-    witnesses: list = [None] * len(layout)
-    pending: list[tuple[int, ...] | None] = [None] * copies
-    blocks = []
-    running = None
-    for c in range(copies - 1, -1, -1):
-        if not ending[c]:
-            continue
-        width = 2 * stops[c]
-        if running is None:
-            pending[c], running = (1,), [1] * width
-        else:
-            running = running[:width]
-            pending[c] = tuple(running)
-        for j in ending[c]:
-            at, rows, cols, local_dims = zip(*map(slot.__getitem__, layout[j]))
-            shape = [1] * width
-            for r, col, d in zip(rows, cols, local_dims):
-                shape[r] = shape[col] = running[r] = running[col] = d
-            axes = rows + cols
-            # sorted in Python: a first np.argsort call maps in numpy's sort kernels, 0.4 MiB of RSS
-            perm = sorted(range(len(axes)), key=axes.__getitem__)
-            witnesses[j] = _Placed(at, local_dims, tuple(perm), tuple(shape))
-        blocks.append((c, tuple(ending[c])))
+    reach = [(1, -1)] * (2 * q)  # per axis: its dim and the last copy of the witness acting on it
+    witnesses = []
+    for slots in layout:
+        last = max(slots)[0]
+        rows, cols, local_dims = zip(*map(slot.__getitem__, slots))
+        shape = [1] * (2 * stops[last])
+        for r, col, d in zip(rows, cols, local_dims):
+            shape[r] = shape[col] = d
+            reach[r] = reach[col] = (d, last)
+        axes = rows + cols
+        # sorted in Python: a first np.argsort call maps in numpy's sort kernels, 0.4 MiB of RSS
+        perm = sorted(range(len(axes)), key=axes.__getitem__)
+        witnesses.append((last, local_dims, tuple(perm), tuple(shape)))
+    # the pending tensor meets copy c's block with the dims of every slot
+    # a witness ending above c acts on, size 1 elsewhere: all 1 at the
+    # first block, which at most meets a factor Tr rho per empty copy above
+    pending = [()] * copies
+    for c in {w[0] for w in witnesses}:
+        pending[c] = tuple(d if last > c else 1 for d, last in reach[: 2 * stops[c]])
     # rho's tensor has row labels 0..n-1 and column labels n..2n-1; an
     # unplaced party's column takes its row label, which traces it out,
     # and the output lists the columns first, so each reduced state
     # comes out transposed, as Tr(W sigma) = sum W[r, c] sigma[c, r] needs
     n = len(base_dims)
-    parties = tuple(map(tuple, per_copy))
     labels = tuple(range(n))
+    index = {ps: i for i, ps in enumerate(dict.fromkeys(map(tuple, per_copy)))}
     reductions = []
-    for ps in dict.fromkeys(parties):
+    for ps in index:
         cols = list(labels)
         for i in ps:
             cols[i] += n
-        reductions.append((ps, labels + tuple(cols), tuple(map(cols.__getitem__, ps)) + ps))
-    return _Plan(tuple(witnesses), tuple(blocks), tuple(pending), parties, tuple(reductions))
-
-
-def _operator_product(factors: list[tuple[np.ndarray, _Placed]]) -> np.ndarray:
-    """Product of operators on disjoint slots, built straight into a block's axis order.
-
-    ``factors``, never empty, pairs each matrix with its witness's part
-    of the plan: the matrix, reshaped to its rows then its columns, is
-    transposed by ``perm`` into the block's axis order and given size-1
-    axes where it does not act (``shape``), to broadcast against.  Each
-    factor is broadcast over the other axes and multiplied in, so no
-    transposed copy of the result is ever made.
-    """
-    op = None
-    for mat, placed in factors:
-        tensor = mat.reshape(placed.local_dims * 2).transpose(placed.perm).reshape(placed.shape)
-        op = tensor.copy() if op is None else np.multiply(op, tensor, order="C")
-    return op
+        reductions.append((labels + tuple(cols), tuple(map(cols.__getitem__, ps)) + ps))
+    steps = tuple((pending[c], index[tuple(ps)]) for c, ps in enumerate(per_copy))
+    return tuple(witnesses), steps, tuple(reductions)
 
 
 def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
@@ -273,7 +235,9 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
     no witness ends has no block.  MAX_DIM still caps D_p, the product
     of the placed dims, though no block need reach D_p x D_p.  All of
     that layout walk is ``_plan``'s, kept per (copies, base dims, slot
-    groups); each call resolves the witnesses and builds the blocks.
+    groups); each call resolves each witness once and multiplies it, in
+    assignment order, into its block, broadcast over the block's other
+    axes, so no transposed copy of a block is made.
 
     The evaluator takes one copy rho of the base system and reduces it
     onto each copy's placed parties; a copy with none placed gives the
@@ -289,13 +253,12 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
     """
     base_dims = list(spec.base_dims)
     base_total = math.prod(base_dims)
-    k = spec.copies
-    plan = _plan(k, spec.base_dims, tuple([asg.slots for asg in spec.assignments]))
-    mats = [asg.resolve(placed.local_dims) for asg, placed in zip(spec.assignments, plan.witnesses)]
-    blocks: list[np.ndarray | None] = [None] * k
-    for c, members in plan.blocks:
-        blocks[c] = _operator_product([(mats[j], plan.witnesses[j]) for j in members])
-    pending, parties, reductions = plan.pending, plan.parties, plan.reductions
+    witnesses, steps, reductions = _plan(spec.copies, spec.base_dims, tuple([asg.slots for asg in spec.assignments]))
+    blocks: list[np.ndarray | None] = [None] * spec.copies
+    for asg, (last, local_dims, perm, shape) in zip(spec.assignments, witnesses):
+        tensor = asg.resolve(local_dims).reshape(local_dims * 2).transpose(perm).reshape(shape)
+        blocks[last] = tensor.copy() if blocks[last] is None else np.multiply(blocks[last], tensor, order="C")
+    walk = [(block, pending, r) for block, (pending, r) in zip(blocks, steps)][::-1]  # last copy first
 
     def evaluate(rho: np.ndarray) -> float:
         rho = np.asarray(rho, dtype=complex)
@@ -307,15 +270,12 @@ def compile_wiring(spec: WiringSpec) -> Callable[[np.ndarray], float]:
         if not np.isfinite(rho).all():
             raise ValueError("state has non-finite entries")
         tensor = rho.reshape(base_dims * 2)
-        reduced = {
-            ps: np.einsum(tensor, labels, out).reshape(-1)
-            for ps, labels, out in reductions
-        }
+        reduced = [np.einsum(tensor, labels, out).reshape(-1) for labels, out in reductions]
         x = None
-        for c in range(k - 1, -1, -1):
-            if blocks[c] is not None:
-                x = blocks[c] if x is None else x.reshape(pending[c]) * blocks[c]
-            sigma = reduced[parties[c]]
+        for block, pending, r in walk:
+            if block is not None:
+                x = block if x is None else x.reshape(pending) * block
+            sigma = reduced[r]
             x = sigma if x is None else x.reshape(-1, sigma.size) @ sigma
         value = complex(x[0])
         if not abs(value.real) < math.inf:  # negated, so NaN fails too
@@ -391,7 +351,9 @@ def _sign_changes(
     rounding noise.  The roots are the eigenvalues of the companion matrix
     of the rest (nodes on the diagonal, ones below, -c_i/c_top added to the
     last column).  A simple root gets one Newton step; a merged one (see
-    ROOT_MERGE_TOL) is the mean of its eigenvalues.
+    ROOT_MERGE_TOL) is the mean of its eigenvalues.  A root is kept only
+    where the polynomial, halfway to a neighbouring root or range end, is
+    below -``floor``, so a zero it only touches at a range end is not one.
     """
     width, top = hi - lo, len(coeffs) - 1
     while top > 0 and abs(coeffs[top]) * width**top <= floor:
@@ -420,7 +382,12 @@ def _sign_changes(
             r -= v / dv
         if lo <= r <= hi:
             roots.append(r)
-    return roots
+    # a root is a sign change only if the polynomial falls below -floor on
+    # one side of it, halfway to the next root or range end: one where it
+    # just touches zero at a range end is rounding, not a threshold
+    ends = [lo] + roots + [hi]
+    below = [_newton_value(nodes, coeffs, 0.5 * (a + b))[0] < -floor for a, b in zip(ends, ends[1:])]
+    return [r for r, left, right in zip(roots, below, below[1:]) if left or right]
 
 
 def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201, bounds=(0.0, 1.0)) -> DetectionReport:
@@ -434,9 +401,11 @@ def sweep(spec: WiringSpec, family: StateFamily, grid_points: int = 201, bounds=
     Chebyshev nodes; a non-finite value raises, as in the evaluator.
     The grid is read off the polynomial; a zero-width range takes one
     direct evaluation, and one too narrow for k+1 distinct nodes raises.
-    The thresholds are its real roots of odd multiplicity in the range,
-    from ``_sign_changes`` with the floor 1e-12 * (1 + max|node value|),
-    so a tangent zero is not one and ``grid_points`` does not change them.
+    The thresholds are its real roots of odd multiplicity in the range
+    where it falls below -floor on one side, from ``_sign_changes`` with
+    the floor 1e-12 * (1 + max|node value|), so neither a tangent zero
+    nor a zero touched at a range end is one, and ``grid_points`` does
+    not change them.
     """
     grid_points = checked_integer(grid_points, "grid_points")
     if grid_points < 2:

@@ -100,9 +100,11 @@ class OutputSink:
 class Scenario:
     """A scenario, valid by construction, parsed or built by hand.
 
-    Refuses an unknown version, a file two sinks write, state dims other
-    than the wiring's (in every family mode), and a b-axis off a grid,
-    named like an output field or aimed at no wired witness.
+    Refuses a name that is not a string, a seed that is not an integer
+    (it stores an int), an unknown version, a file two sinks write,
+    state dims other than the wiring's (in every family mode), and a
+    b-axis off a grid, named like an output field or aimed at no wired
+    witness.
     """
 
     version: int
@@ -114,6 +116,8 @@ class Scenario:
     outputs: tuple[OutputSink, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        _string(self.name, "name")
+        object.__setattr__(self, "seed", checked_integer(self.seed, "seed"))
         if self.version != SCENARIO_VERSION:
             raise ValueError(f"unsupported scenario version {self.version}")
         paths = [PurePath(o.path) for o in self.outputs]  # "x.out" and "./x.out" are one file
@@ -220,8 +224,7 @@ def parse_scenario(text: str) -> Scenario:
             outputs.append(OutputSink(sink["format"], sink["path"]))
         except ValueError as exc:  # OutputSink names the field; this adds where it sits
             raise ValueError(f"outputs[{idx}].{exc}") from None
-    name, seed = _string(obj["name"], "name"), checked_integer(obj["seed"], "seed")
-    return Scenario(version, name, seed, family, wiring, witness_param, tuple(outputs))
+    return Scenario(version, obj["name"], obj["seed"], family, wiring, witness_param, tuple(outputs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -231,6 +232,58 @@ def test_roots_two_thousandths_apart_are_two_sign_changes():
         assert abs(roots[1] - 0.502) < 1e-12
 
 
+def test_roots_two_ten_thousandths_apart_are_not_merged():
+    # twice ROOT_MERGE_TOL of the range apart: two sign changes, not one even-fold root
+    roots = detection.sweep(_shifted_w3_pair(0.75, 0.7501), FAMILIES["werner_a"], 11).thresholds
+    assert len(roots) == 2
+    assert abs(roots[0] - 0.5) < 1e-12
+    assert abs(roots[1] - 0.5002) < 1e-12
+
+
+def _three_copy_wirings():
+    """Every wiring of W1, W2 and W3 on disjoint ordered slot pairs of three two-qubit copies."""
+    slots = [(c, p) for c in range(3) for p in range(2)]
+    for m in (1, 2, 3):
+        for pairs in itertools.combinations(itertools.combinations(slots, 2), m):
+            if len({s for pair in pairs for s in pair}) < 2 * m:
+                continue
+            for flips in itertools.product((False, True), repeat=m):
+                layout = [pair[::-1] if flip else pair for pair, flip in zip(pairs, flips)]
+                for names in itertools.product(("W1", "W2", "W3"), repeat=m):
+                    yield detection.wiring(3, [2, 2], list(zip(names, layout)))
+
+
+def test_a_zero_touched_at_a_range_end_is_not_a_threshold():
+    fam = FAMILIES["werner_w"]
+    # exactly 0 at w = 0 and positive above it; the interpolant's rounding
+    # put a root at 1.48e-16, which was reported as a threshold
+    spec = detection.wiring(
+        3, [2, 2], [("W2", [(0, 0), (2, 0)]), ("W3", [(0, 1), (2, 1)]), ("W1", [(1, 0), (1, 1)])]
+    )
+    report = detection.sweep(spec, fam)
+    assert abs(report.values[0]) < 1e-15 and min(report.values[1:]) > 0
+    assert report.thresholds == ()
+    # of all 4,950 three-copy wirings (330 layouts), 416 reported a threshold,
+    # 32 of them such an end root; each of the 384 left changes sign on the
+    # grid, at the cyclic root, and no other goes below zero
+    reports = [detection.sweep(spec, fam) for spec in _three_copy_wirings()]
+    assert len(reports) == 4950
+    detecting = [r for r in reports if r.thresholds]
+    assert len(detecting) == 384
+    cyclic = 1.0 - 2.0 ** (-1.0 / 3.0)
+    assert all(len(r.thresholds) == 1 and abs(r.thresholds[0] - cyclic) < 1e-12 for r in detecting)
+    assert all(min(r.values) < -1e-9 for r in detecting)
+    assert all(min(r.values) > -1e-9 for r in reports if not r.thresholds)
+
+
+def test_an_imaginary_residue_above_its_bound_raises():
+    # an anti-Hermitian part i s I of the state gives W3, of trace 2, the imaginary part 2 s
+    evaluate = detection.compile_wiring(detection.wiring(1, [2, 2], [("W3", [(0, 0), (0, 1)])]))
+    assert abs(evaluate(np.eye(4) / 4 + 1e-10j * np.eye(4)) - 0.5) < 1e-15
+    with pytest.raises(ValueError, match="imaginary residue 2.000e-08 above 1e-09"):
+        evaluate(np.eye(4) / 4 + 1e-8j * np.eye(4))
+
+
 def test_ordering_matrix_covers_all_combinations():
     fam = FAMILIES["werner_w"]
     orderings = {
@@ -282,24 +335,35 @@ def test_sweep_rejects_non_finite_grid_values():
         detection.sweep(spec, fam, grid_points=5)
 
 
-def test_sweep_assembles_the_wiring_once(monkeypatch):
+def _counting_resolve(monkeypatch):
+    """Each ``Assignment.resolve`` call's witness and the matrix it returned, in call order."""
     calls = []
-    product = detection._operator_product
+    resolve = detection.Assignment.resolve
 
-    def counting(factors):
-        calls.append([(placed.slots, placed.shape) for _, placed in factors])
-        return product(factors)
+    def counting(self, local_dims):
+        mat = resolve(self, local_dims)
+        calls.append((self.witness, mat))
+        return mat
 
-    monkeypatch.setattr(detection, "_operator_product", counting)
+    monkeypatch.setattr(detection.Assignment, "resolve", counting)
+    return calls
+
+
+def test_sweep_assembles_the_wiring_once(monkeypatch):
+    calls = _counting_resolve(monkeypatch)
     spec = detection.wiring(
         2, [2, 2], [("P", [(0, 0), (1, 1)]), ("W3", [(0, 1), (1, 0)])]
     )
     report = detection.sweep(spec, FAMILIES["werner_a"], 201)
     assert len(report.thresholds) == 1  # the root was located too
-    # one build, of the placed slots only: A, B, A', B' in copy-major order,
-    # laid out per copy as (A, B rows, A, B columns, A', B' rows, A', B' columns),
-    # so P on (A, B') acts on axes 0, 5 (rows) and 2, 7 (columns), W3 on (B, A') on 1, 4 and 3, 6
-    assert calls == [[((0, 3), (2, 1, 2, 1, 1, 2, 1, 2)), ((1, 2), (1, 2, 1, 2, 2, 1, 2, 1))]]
+    assert [name for name, _ in calls] == ["P", "W3"]  # one build, each witness resolved once
+    # both end on copy 1, so they share its block, of the placed slots only:
+    # A, B, A', B' in copy-major order, laid out per copy as
+    # (A, B rows, A, B columns, A', B' rows, A', B' columns), so P on (A, B')
+    # acts on axes 0, 5 (rows) and 2, 7 (columns), W3 on (B, A') on 1, 4 and 3, 6
+    assert [(last, shape) for last, _, _, shape in _plan_of(spec)[0]] == [
+        (1, (2, 1, 2, 1, 1, 2, 1, 2)), (1, (1, 2, 1, 2, 2, 1, 2, 1))
+    ]
 
 
 def test_evaluator_keeps_the_trace_of_a_copy_with_nothing_placed():
@@ -368,37 +432,35 @@ RING = [("W1", [(0, 1), (1, 0)]), ("W2", [(1, 1), (2, 0)]),
         ("W3", [(2, 1), (3, 0)]), ("W4", [(3, 1), (0, 0)])]
 
 
-def _counting_operator_product(monkeypatch):
-    calls = []
-    product = detection._operator_product
-
-    def counting(factors):
-        op = product(factors)
-        calls.append(([mat for mat, _ in factors], [list(p.slots) for _, p in factors], op.ndim // 2, op.size))
-        return op
-
-    monkeypatch.setattr(detection, "_operator_product", counting)
-    return calls
-
-
 def test_each_witness_joins_the_block_of_the_last_copy_it_touches(monkeypatch):
-    calls = _counting_operator_product(monkeypatch)
-    detection.compile_wiring(detection.wiring(4, [2, 2], RING))
-    # all eight slots are placed, so slot (c, p) sits at position 2c + p;
-    # the block at copy c spans the placed slots of copies 0..c
-    want = [(["W3", "W4"], [[5, 6], [7, 0]], 8), (["W2"], [[3, 4]], 6), (["W1"], [[1, 2]], 4)]
-    assert [(slots, n) for _, slots, n, _ in calls] == [(slots, n) for _, slots, n in want]
-    for (mats, _, _, size), (names, _, _) in zip(calls, want):
-        assert all(np.array_equal(m, catalog(name).matrix) for m, name in zip(mats, names))
-        assert size <= 256  # W3 (x) W4 on four slots; one operator on all eight has 65536
+    calls = _counting_resolve(monkeypatch)
+    spec = detection.wiring(4, [2, 2], RING)
+    detection.compile_wiring(spec)
+    assert [name for name, _ in calls] == [name for name, _ in RING]
+    assert all(np.array_equal(mat, catalog(name).matrix) for name, mat in calls)
+    # the block at copy c spans the placed slots of copies 0..c: all eight
+    # slots are placed, so W1 ends on copy 1 (4 slots), W2 on copy 2 (6),
+    # and W3 and W4 together on copy 3 (8), where slot (c, p) has row axis
+    # 4c + p and column axis 4c + 2 + p of the block
+    witnesses = _plan_of(spec)[0]
+    assert [(last, len(shape) // 2) for last, _, _, shape in witnesses] == [(1, 4), (2, 6), (3, 8), (3, 8)]
+    acting = [[i for i, d in enumerate(shape) if d > 1] for _, _, _, shape in witnesses]
+    assert acting == [[1, 3, 4, 6], [5, 7, 8, 10], [9, 11, 12, 14], [0, 2, 13, 15]]
+    block = np.maximum(witnesses[2][3], witnesses[3][3])
+    assert math.prod(block) <= 256  # W3 (x) W4 on four slots; one operator on all eight has 65536
 
 
 def test_sweep_builds_each_block_once_and_none_per_evaluation(monkeypatch):
-    calls = _counting_operator_product(monkeypatch)
+    calls = _counting_resolve(monkeypatch)
     spec = detection.wiring(4, [2, 2], RING)
     fam = FAMILIES["werner_w"]
+    evaluate = detection.compile_wiring(spec)
+    for w in (0.1, 0.3, 0.7):
+        evaluate(fam(w))
+    assert [name for name, _ in calls] == [name for name, _ in RING]  # none per evaluation
     report = detection.sweep(spec, fam, 11)
-    assert [slots for _, slots, _, _ in calls] == [[[5, 6], [7, 0]], [[3, 4]], [[1, 2]]]
+    assert [name for name, _ in calls[len(RING):]] == [name for name, _ in RING]  # one compile
+    assert sorted({last for last, _, _, _ in _plan_of(spec)[0]}, reverse=True) == [3, 2, 1]
     mats = [catalog(name).matrix for name, _ in RING]
     want = expectation_oracle(mats, [slots for _, slots in RING], [2, 2], 4, fam(0.3))
     assert abs(report.values[3] - want.real) < 1e-12
@@ -584,13 +646,11 @@ def test_expectation_matches_index_loop_oracle(case):
     assert abs(detection.expectation(spec, rho) - want.real) < 1e-12
 
 
-def _arrays_in(value):
-    """The NumPy arrays anywhere inside nested tuples."""
-    if isinstance(value, np.ndarray):
-        return [value]
+def _leaves(value):
+    """Everything inside nested tuples that is not itself a tuple."""
     if isinstance(value, tuple):
-        return [a for item in value for a in _arrays_in(item)]
-    return []
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
 
 
 def _plan_of(spec):
@@ -608,7 +668,7 @@ def test_a_kept_plan_gives_the_values_of_a_fresh_one_bit_for_bit(case):
     warm = detection.compile_wiring(replace(spec, assignments=tuple(replace(a) for a in spec.assignments)))
     assert detection._plan.cache_info().hits >= 1
     assert warm(rho) == cold
-    assert not _arrays_in(_plan_of(spec))
+    assert all(type(leaf) is int for leaf in _leaves(_plan_of(spec)))  # no arrays, only ints and tuples
 
 
 def test_a_layout_over_max_dim_raises_on_every_compile():

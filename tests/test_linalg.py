@@ -31,6 +31,16 @@ def test_hermiticity_defect_and_predicate():
     assert linalg.hermiticity_defect(bumped) > 1e-7
 
 
+def test_check_hermitian_refuses_a_defect_above_its_bound_only():
+    h = random_hermitian(np.random.default_rng(13), 4)
+    near, far = h.copy(), h.copy()
+    near[0, 1] += 1e-11
+    far[0, 1] += 1e-9
+    linalg.check_hermitian(near, "near")
+    with pytest.raises(ValueError, match="far is not Hermitian"):
+        linalg.check_hermitian(far, "far")
+
+
 def test_hermitian_eig_reconstructs():
     rng = np.random.default_rng(23)
     for n in [2, 3, 5, 8]:

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from importlib import resources
 
+import numpy as np
 import pytest
 from oracles import run_to_csv_oracle, run_to_json_oracle
 
@@ -266,6 +267,11 @@ def _with_param(s, **edits):
 # each rule a scenario file can break, by the edit of ex4_pb_w3 that breaks it
 # and by the hand-built replace of the parsed scenario that does the same
 SCENARIO_REFUSALS = {
+    "name_list": (("name",), ["x"], lambda s: replace(s, name=["x"])),
+    "name_number": (("name",), 3, lambda s: replace(s, name=3)),
+    "seed_bool": (("seed",), True, lambda s: replace(s, seed=True)),
+    "seed_float": (("seed",), 2.5, lambda s: replace(s, seed=2.5)),
+    "seed_string": (("seed",), "3", lambda s: replace(s, seed="3")),
     "version": (("version",), 99, lambda s: replace(s, version=99)),
     "empty_values": (("witness_param", "values"), [], lambda s: _with_param(s, values=())),
     "name_points": (("witness_param", "name"), "points", lambda s: _with_param(s, name="points")),
@@ -301,6 +307,12 @@ def test_a_hand_built_scenario_is_refused_in_the_parsers_words(case):
     with pytest.raises(ValueError) as built:
         build(load_scenario("ex4_pb_w3"))
     assert str(built.value) == str(parsed.value)
+
+
+def test_a_hand_built_numpy_seed_is_stored_as_an_int():
+    s = replace(load_scenario("ex1_cross"), seed=np.int64(3))
+    assert type(s.seed) is int and s.seed == 3
+    assert json.loads(sc.run_to_json(sc.run_scenario(s)))["seed"] == 3
 
 
 @pytest.mark.parametrize(

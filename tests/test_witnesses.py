@@ -269,6 +269,22 @@ def test_validate_witness_reports():
     assert psd.kind == "positive_semidefinite"
 
 
+def test_validate_witness_counts_an_eigenvalue_below_its_floor_as_negative():
+    # a positive semidefinite entry fails on an eigenvalue of -1e-8, not on one of -1e-10
+    for low, passed in ((-1e-10, True), (-1e-8, False)):
+        matrix = np.diag([1.0, 1.0, 1.0, low]).astype(complex)
+        spec = witnesses.WitnessSpec("near_psd", matrix, (2, 2), "positive_semidefinite")
+        assert witnesses.validate_witness(spec, samples=100, seed=11).passed is passed
+
+
+def test_validate_witness_fails_a_witness_below_zero_on_every_product_state():
+    # -1e-7 I has the value -1e-7 on every product state, so no sample can miss it
+    spec = witnesses.WitnessSpec("shifted", -1e-7 * np.eye(4, dtype=complex), (2, 2), "witness")
+    report = witnesses.validate_witness(spec, samples=100, seed=11)
+    assert abs(report.min_product_expectation + 1e-7) < 1e-15
+    assert not report.passed
+
+
 def test_fixed_catalog_matrices_are_read_only():
     before = witnesses.catalog("W").matrix.copy()
     with pytest.raises(ValueError):
