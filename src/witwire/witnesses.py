@@ -2,23 +2,33 @@
 
 A witness here is a Hermitian operator with at least one negative
 eigenvalue whose expectation is nonnegative on every product state.
-The sampling check below is Monte Carlo, so it gives an upper bound on
-the separable minimum, not a proof; it is meant to catch sign and
-normalization mistakes, and the analytic separability statements are
-covered by the fixed expected values in the test suite.
+The check below samples every party but the last and minimizes over
+the last one exactly, so it gives an upper bound on the separable
+minimum, not a proof: each value is attained on a product state.  It
+is meant to catch sign and normalization mistakes and narrow dips: a
+dip at one product state is found once the sampled parties come near
+it, so (1 - delta) I - |00><00| fails at delta = 1e-4 on 100000
+samples.  The analytic separability statements are covered by the
+fixed expected values in the test suite.
 
 The samples are fixed for each seed: chunks of 10000, chunk 0 drawn
 from ``default_rng(seed)`` and chunk i >= 1 from its own stream
 ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, and in each chunk
-one (2, count, d) block of standard normals per party, in party order,
-real parts then imaginary parts of the unnormalized local vectors g.
-The chunks are independent, so they run on every CPU the process may
-use, and the minimum does not depend on how many.  A sample is never
-formed as a product vector: the operator is written once as a real
-tensor over the Hermitian basis of each party (|i><i|, then
-|i><j| + |j><i| and i|i><j| - i|j><i| for i < j), each g g^dag as its
-d^2 real coordinates in that basis, and the expectation is their
-contraction divided by the product of the |g|^2.
+one (2, count, d) block of standard normals per party but the last, in
+party order, real parts then imaginary parts of the unnormalized local
+vectors g.  The chunks are independent, so they run on every CPU the
+process may use, and the minimum does not depend on how many.  A
+sample is never formed as a product vector: the operator is written
+once as a real tensor over the Hermitian basis of each party (|i><i|,
+then |i><j| + |j><i| and i|i><j| - i|j><i| for i < j), each g g^dag as
+its d^2 real coordinates in that basis, and their contraction over
+parties 0..n-2 gives the d_last^2 coordinates of the reduced operator
+R = Tr_{0..n-2}[(sigma (x) I) M] on the last party, sigma the
+unnormalized sampled product state of parties 0..n-2.  A
+sample's value is R's smallest eigenvalue divided by the product of
+the sampled |g|^2: a closed form when the last party is a qubit, a
+stacked ``eigvalsh`` otherwise, and the smallest eigenvalue of M
+itself for one party.
 """
 
 from __future__ import annotations
@@ -212,24 +222,52 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _bottom_eigenvalue(r: np.ndarray, d: int) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian R whose coordinates are a column of ``r``.
+
+    ``r`` is (d*d, count), row k being Tr(R E_k) for the k-th element of
+    ``_hermitian_basis(d)``: R_ii = r_i, and R_ij = (r_k + i r_k') / 2
+    for the k-th pair i < j and its imaginary partner k', so R is r
+    read against the basis with its off-diagonal elements halved.  A
+    qubit takes the closed form of a 2 x 2 Hermitian matrix; larger d
+    one stacked ``eigvalsh``.
+    """
+    if d == 2:
+        half_gap = 0.5 * (r[0] - r[1])
+        return 0.5 * (r[0] + r[1]) - np.sqrt(half_gap * half_gap + 0.25 * (r[2] * r[2] + r[3] * r[3]))
+    dual = _hermitian_basis(d)
+    dual[d:] *= 0.5
+    return np.linalg.eigvalsh(np.tensordot(r.T, dual, axes=1))[:, 0]
+
+
 def _residue_minimum(t: np.ndarray, dims: list[int], samples: int, seed: int, first: int, step: int) -> float:
-    """Minimum over the chunks first, first + step, ...: one worker's share, with its own buffers."""
+    """Minimum over the chunks first, first + step, ...: one worker's share, with its own buffers.
+
+    ``t`` is the coordinate tensor with the last party's axis first,
+    shape (d_last^2, product of the other parties' d^2).  Only parties
+    0..n-2 are drawn; their coordinates contract ``t`` to the d_last^2
+    coordinates of each sample's reduced operator on the last party.
+    """
+    *drawn, last = dims
     size = min(samples, _CHUNK)
-    coords = [np.empty((d * d, size)) for d in dims]
+    coords = [np.empty((d * d, size)) for d in drawn]
     scratch = np.empty((max(dims), size))
     best = np.inf
     for i in range(first, -(-samples // _CHUNK), step):
         count = min(samples - i * _CHUNK, _CHUNK)
         rng = np.random.default_rng(seed if i == 0 else np.random.SeedSequence(seed, spawn_key=(i,)))
         chunk = [c[:, :count] for c in coords]
-        for d, c in zip(dims, chunk):
+        for d, c in zip(drawn, chunk):
             _local_coordinates(rng.standard_normal((2, count, d)), c, scratch[:d, :count])
-        vals = t @ chunk[-1]
-        norms = chunk[-1][: dims[-1]].sum(axis=0)
-        for d, c in zip(dims[-2::-1], chunk[-2::-1]):
-            vals = np.einsum("abk,bk->ak", vals.reshape(-1, d * d, count), c)
+        if drawn:
+            r = t.reshape(-1, drawn[-1] ** 2) @ chunk[-1]
+            norms = chunk[-1][: drawn[-1]].sum(axis=0)
+        else:  # one party: R is the matrix itself
+            r, norms = t, 1.0
+        for d, c in zip(drawn[-2::-1], chunk[-2::-1]):
+            r = np.einsum("abk,bk->ak", r.reshape(-1, d * d, count), c)
             norms *= c[:d].sum(axis=0)
-        best = min(best, float((vals[0] / norms).min()))
+        best = min(best, float((_bottom_eigenvalue(r, last) / norms).min()))
     return best
 
 
@@ -239,23 +277,30 @@ def min_product_expectation(
     samples: int,
     seed: int,
 ) -> float:
-    """Minimum of <prod|matrix|prod> over sampled pure product states.
+    """Minimum of <prod|matrix|prod> over sampled product states, the last party minimized exactly.
 
-    An upper bound on the true separable minimum (sampling can only
-    miss the minimizer, never undershoot it).  Each local state is
-    g = x + iy, x and y vectors of standard normals, normalized: the
-    Haar measure on local pure states; ``seed`` (an integer >= 0)
-    fixes the chunked streams described in the module docstring, so
-    up to 10000 samples come from ``default_rng(seed)`` alone.  A
-    sample's value is ``_coordinate_tensor(matrix)`` contracted with
-    each party's real coordinates of g g^dag (one GEMM for the last
-    party, a multiply-and-sum for each other), divided once by the
-    product of the |g|^2.  The calling thread takes chunks 0, w, 2w, ...
-    and each of w - 1 helper threads another residue class, w the
-    smaller of the chunk count and the usable CPUs; all are joined
-    before return, and the minimum of minima does not depend on w.
-    The matrix must be finite, of shape (prod(dims), prod(dims)) and
-    Hermitian within HERMITICITY_TOL.
+    An upper bound on the true separable minimum: every sample's value
+    is attained on a product state, the sampled parties' states times
+    the bottom eigenvector of their reduced operator on the last party.
+    Each sampled local state is g = x + iy, x and y vectors of standard
+    normals, normalized: the Haar measure on local pure states;
+    ``seed`` (an integer >= 0) fixes the chunked streams described in
+    the module docstring, so up to 10000 samples come from
+    ``default_rng(seed)`` alone.  The first n - 1 parties read the same
+    draws as a sampler of all n parties would, so up to rounding the
+    value is never above that sampler's on the same (matrix, dims,
+    samples, seed).  A
+    sample's reduced operator is ``_coordinate_tensor(matrix)``
+    contracted with the real coordinates of g g^dag of parties 0..n-2
+    (one GEMM for party n - 2, a multiply-and-sum for each earlier
+    one); its smallest eigenvalue is divided once by the product of
+    the |g|^2.  With one party nothing is drawn and every sample is
+    the smallest eigenvalue of the matrix.  The calling thread takes
+    chunks 0, w, 2w, ... and each of w - 1 helper threads another
+    residue class, w the smaller of the chunk count and the usable
+    CPUs; all are joined before return, and the minimum of minima does
+    not depend on w.  The matrix must be finite, of shape
+    (prod(dims), prod(dims)) and Hermitian within HERMITICITY_TOL.
     """
     samples = checked_integer(samples, "samples")
     seed = checked_seed(seed)
@@ -266,7 +311,7 @@ def min_product_expectation(
         raise ValueError(f"dims must be a nonempty list of positive dimensions, got {dims}")
     matrix = check_operator(matrix, dims, "matrix")
     check_hermitian(matrix, "matrix")
-    t = _coordinate_tensor(matrix, dims).reshape(-1, dims[-1] ** 2)
+    t = np.ascontiguousarray(_coordinate_tensor(matrix, dims).reshape(-1, dims[-1] ** 2).T)
     workers = min(-(-samples // _CHUNK), _usable_cpus())
     lows = [np.inf] * workers
     errors = []

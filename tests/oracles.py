@@ -9,11 +9,14 @@ The concentration oracles build every vector as a textbook Kronecker
 product, (A (x) B)|psi+> with ``np.kron``, where the library reads the
 same vector off a reshaped d x d matrix.
 
-The product-state oracles normalize each party's sampled vector, build
-the Kronecker product vectors of a whole chunk and take
-<v|matrix|v> with one einsum, where the library contracts real
-coordinates of the unnormalized local projectors; both read the same
-seeded draws.
+The product-state oracles normalize each party's sampled vector and
+build the Kronecker product vectors of a whole chunk.  The joint one
+takes <v|matrix|v> over every party's draw with one einsum; the
+last-party one builds each reduced operator on the last party densely
+with einsum and takes its smallest eigenvalue with ``eigvalsh``, where
+the library contracts real coordinates of the unnormalized local
+projectors and reads a qubit's smallest eigenvalue off a closed form.
+All read the same seeded draws.
 
 The renderer oracles format a scenario run one cell at a time through
 their own 15-significant-digit formatter, where the library formats
@@ -339,19 +342,42 @@ def product_state_batch(dims, count, rng):
     return batch
 
 
-def min_product_expectation_oracle(matrix, dims, samples, seed):
-    """Minimum of <v|matrix|v> over the seeded product vectors, chunk by chunk in one thread.
-
-    Chunks of 10000: chunk 0 from default_rng(seed), chunk i >= 1 from
-    default_rng(SeedSequence(seed, spawn_key=(i,))).
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    best = np.inf
+def _chunk_streams(samples, seed):
+    """(count, generator) per chunk of 10000: chunk 0 from default_rng(seed),
+    chunk i >= 1 from default_rng(SeedSequence(seed, spawn_key=(i,)))."""
     for i, start in enumerate(range(0, samples, 10000)):
         rng = np.random.default_rng(seed if i == 0 else np.random.SeedSequence(seed, spawn_key=(i,)))
-        vecs = product_state_batch(dims, min(samples - start, 10000), rng)
+        yield min(samples - start, 10000), rng
+
+
+def joint_sampling_minimum_oracle(matrix, dims, samples, seed):
+    """Minimum of <v|matrix|v> over the seeded product vectors of every party, chunk by chunk in one thread."""
+    matrix = np.asarray(matrix, dtype=complex)
+    best = np.inf
+    for count, rng in _chunk_streams(samples, seed):
+        vecs = product_state_batch(dims, count, rng)
         vals = np.einsum("bi,ij,bj->b", vecs.conj(), matrix, vecs).real
         best = min(best, float(vals.min()))
+    return best
+
+
+def last_party_exact_minimum_oracle(matrix, dims, samples, seed):
+    """Minimum over the seeded product vectors v of parties 0..n-2 of the
+    smallest eigenvalue of R = Tr_{0..n-2}[(|v><v| (x) I) matrix].
+
+    Each R is built densely, R_ij = sum_ab conj(v_a) matrix[(a, i), (b, j)] v_b,
+    and its eigenvalues come from ``np.linalg.eigvalsh``; the last party
+    draws nothing, so parties 0..n-2 read the same stream as in
+    ``joint_sampling_minimum_oracle``.
+    """
+    last = dims[-1]
+    rest = int(np.prod(dims[:-1]))
+    blocks = np.asarray(matrix, dtype=complex).reshape(rest, last, rest, last)
+    best = np.inf
+    for count, rng in _chunk_streams(samples, seed):
+        vecs = product_state_batch(dims[:-1], count, rng)
+        reduced = np.einsum("ka,aibj,kb->kij", vecs.conj(), blocks, vecs)
+        best = min(best, float(np.linalg.eigvalsh(reduced)[:, 0].min()))
     return best
 
 

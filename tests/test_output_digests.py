@@ -8,8 +8,10 @@ family's ``witwire ppt --out`` report, and a ``witwire validate
 operator, P_b at b = 1, 7.3 and 100, and a ``witwire concentrate
 --samples 100 --out`` report at the default seed for d in {2, 3, 4}
 and each measurement kind.  It was
-recorded with numpy 2.4.6 on one BLAS thread: the concentration reports
-carry rounding-level values that another BLAS may print differently.
+recorded with numpy 2.4.6 on one BLAS thread: the concentration reports,
+and the validate reports of V, W2 and W3 (whose product minimum is 0,
+read as -1.8e-16), carry rounding-level values that another BLAS may
+print differently.
 A change that alters these bytes on purpose re-records the manifest with
 
     PYTHONPATH=src python tests/test_output_digests.py

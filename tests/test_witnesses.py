@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import min_product_expectation_oracle, product_state_batch
+from oracles import joint_sampling_minimum_oracle, last_party_exact_minimum_oracle, product_state_batch
 from witwire import witnesses
 from witwire.linalg import HERMITICITY_TOL, hermitian_eig, hermiticity_defect
 from witwire.states import projector, w_state
@@ -127,22 +127,72 @@ def test_min_product_expectation_sees_entangled_directions():
     assert low > vals[0] + 0.5  # strictly inside the spectral range
 
 
+# one party, a qutrit last, and three parties
+PARTY_DIMS = st.sampled_from([[2], [3], [2, 2], [2, 3], [3, 2], [2, 2, 2], [2, 3, 2]])
+
+
+def _random_hermitian(dims, entries):
+    total = int(np.prod(dims))
+    rng = np.random.default_rng(entries)
+    a = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+    return (a + a.conj().T) * rng.uniform(0.1, 10.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    dims=st.sampled_from([[2], [3], [2, 2], [2, 3], [3, 2], [2, 2, 2], [2, 3, 2]]),
+    dims=PARTY_DIMS,
     samples=st.sampled_from([1, witnesses._CHUNK - 1, witnesses._CHUNK, witnesses._CHUNK + 1, 4 * witnesses._CHUNK + 1]),
     seed=st.integers(0, 2**32 - 1),
     entries=st.integers(0, 2**32 - 1),
 )
 def test_min_product_expectation_matches_the_product_vector_oracle(dims, samples, seed, entries):
-    # the same seeded samples, across chunk edges, as normalized product vectors
-    total = int(np.prod(dims))
-    rng = np.random.default_rng(entries)
-    a = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
-    m = (a + a.conj().T) * rng.uniform(0.1, 10.0)
+    # the same seeded samples of parties 0..n-2, across chunk edges, as normalized
+    # product vectors, each with the bottom eigenvalue of its dense reduced operator
+    m = _random_hermitian(dims, entries)
     got = witnesses.min_product_expectation(m, dims, samples, seed)
-    want = min_product_expectation_oracle(m, dims, samples, seed)
+    want = last_party_exact_minimum_oracle(m, dims, samples, seed)
     assert abs(got - want) <= 1e-12 * (1.0 + np.max(np.abs(m)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dims=PARTY_DIMS,
+    samples=st.sampled_from([1, 2000, witnesses._CHUNK + 1]),
+    seed=st.integers(0, 2**32 - 1),
+    entries=st.integers(0, 2**32 - 1),
+)
+def test_the_exact_last_party_never_rises_above_joint_sampling_nor_falls_below_the_spectrum(dims, samples, seed, entries):
+    # the joint draw's last party is one candidate of the exact minimization, and every
+    # value is attained on a product state, so it cannot undershoot the smallest eigenvalue
+    m = _random_hermitian(dims, entries)
+    tol = 1e-12 * (1.0 + np.max(np.abs(m)))
+    got = witnesses.min_product_expectation(m, dims, samples, seed)
+    assert got <= joint_sampling_minimum_oracle(m, dims, samples, seed) + tol
+    assert got >= np.linalg.eigvalsh(m)[0] - tol
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+def test_validate_fails_a_narrow_dip_at_a_product_state(delta):
+    # (1 - delta) I - |00><00| is -delta on |00> alone; with the second party exact the
+    # sample only has to come near |0> on the first, so no seed misses the dip
+    m = (1.0 - delta) * np.eye(4, dtype=complex)
+    m[0, 0] -= 1.0
+    spec = witnesses.WitnessSpec("dip", m, (2, 2), "witness")
+    for seed in range(6):
+        report = witnesses.validate_witness(spec, samples=100000, seed=seed)
+        assert not report.passed, seed
+        assert report.min_product_expectation <= -delta / 2, seed
+
+
+def test_catalog_product_minima_reach_their_exact_floors():
+    # the 2x2 witnesses touch 0 on product states; WW1's floor is 2/3 - 4/9 = 2/9
+    floors = {name: (-1e-12, 1e-9) for name in ("W", "V", "W1", "W2", "W3", "W4")}
+    floors["WW1"] = (2.0 / 9.0 - 1e-12, 2.0 / 9.0 + 1e-3)
+    for name, (lo, hi) in floors.items():
+        spec = witnesses.catalog(name)
+        for seed in range(6):
+            low = witnesses.min_product_expectation(spec.matrix, list(spec.dims), 100000, seed)
+            assert lo <= low <= hi, (name, seed, low)
 
 
 def test_min_product_expectation_rejects_non_finite_entries():
