@@ -244,9 +244,10 @@ def _residue_minimum(t: np.ndarray, dims: list[int], samples: int, seed: int, fi
     """Minimum over the chunks first, first + step, ...: one worker's share, with its own buffers.
 
     ``t`` is the coordinate tensor with the last party's axis first,
-    shape (d_last^2, product of the other parties' d^2).  Only parties
-    0..n-2 are drawn; their coordinates contract ``t`` to the d_last^2
-    coordinates of each sample's reduced operator on the last party.
+    shape (d_last^2, product of the other parties' d^2), for n >= 2
+    parties.  Only parties 0..n-2 are drawn; their coordinates contract
+    ``t`` to the d_last^2 coordinates of each sample's reduced operator
+    on the last party.
     """
     *drawn, last = dims
     size = min(samples, _CHUNK)
@@ -259,11 +260,8 @@ def _residue_minimum(t: np.ndarray, dims: list[int], samples: int, seed: int, fi
         chunk = [c[:, :count] for c in coords]
         for d, c in zip(drawn, chunk):
             _local_coordinates(rng.standard_normal((2, count, d)), c, scratch[:d, :count])
-        if drawn:
-            r = t.reshape(-1, drawn[-1] ** 2) @ chunk[-1]
-            norms = chunk[-1][: drawn[-1]].sum(axis=0)
-        else:  # one party: R is the matrix itself
-            r, norms = t, 1.0
+        r = t.reshape(-1, drawn[-1] ** 2) @ chunk[-1]
+        norms = chunk[-1][: drawn[-1]].sum(axis=0)
         for d, c in zip(drawn[-2::-1], chunk[-2::-1]):
             r = np.einsum("abk,bk->ak", r.reshape(-1, d * d, count), c)
             norms *= c[:d].sum(axis=0)
@@ -289,17 +287,17 @@ def min_product_expectation(
     ``default_rng(seed)`` alone.  The first n - 1 parties read the same
     draws as a sampler of all n parties would, so up to rounding the
     value is never above that sampler's on the same (matrix, dims,
-    samples, seed).  A
-    sample's reduced operator is ``_coordinate_tensor(matrix)``
-    contracted with the real coordinates of g g^dag of parties 0..n-2
-    (one GEMM for party n - 2, a multiply-and-sum for each earlier
-    one); its smallest eigenvalue is divided once by the product of
-    the |g|^2.  With one party nothing is drawn and every sample is
-    the smallest eigenvalue of the matrix.  The calling thread takes
-    chunks 0, w, 2w, ... and each of w - 1 helper threads another
-    residue class, w the smaller of the chunk count and the usable
-    CPUs; all are joined before return, and the minimum of minima does
-    not depend on w.  The matrix must be finite, of shape
+    samples, seed).  A sample's reduced operator is
+    ``_coordinate_tensor(matrix)`` contracted with the real coordinates
+    of g g^dag of parties 0..n-2 (one GEMM for party n - 2, a
+    multiply-and-sum for each earlier one); its smallest eigenvalue is
+    divided once by the product of the |g|^2.  With one party nothing
+    is drawn, no thread starts and the value is the smallest eigenvalue
+    of the matrix.  Otherwise the calling thread takes chunks 0, w, 2w,
+    ... and each of w - 1 helper threads another residue class, w the
+    smaller of the chunk count and the usable CPUs; all are joined
+    before return, and the minimum of minima does not depend on w.
+    The matrix must be finite, of shape
     (prod(dims), prod(dims)) and Hermitian within HERMITICITY_TOL.
     """
     samples = checked_integer(samples, "samples")
@@ -311,6 +309,8 @@ def min_product_expectation(
         raise ValueError(f"dims must be a nonempty list of positive dimensions, got {dims}")
     matrix = check_operator(matrix, dims, "matrix")
     check_hermitian(matrix, "matrix")
+    if len(dims) == 1:
+        return min_eigenvalue(matrix)
     t = np.ascontiguousarray(_coordinate_tensor(matrix, dims).reshape(-1, dims[-1] ** 2).T)
     workers = min(-(-samples // _CHUNK), _usable_cpus())
     lows = [np.inf] * workers

@@ -1,7 +1,6 @@
 """Run tier-1 against each one-line mutant of the committed list ``mutants.json``.
 
-    python3 tools/mutants.py          # every mutant in the list
-    python3 tools/mutants.py 5 6      # the mutants at these positions of the list
+    python3 tools/mutants.py
 
 Each entry names a file under the repository root, an ``old`` text that
 occurs exactly once in it, the ``new`` text that replaces it, and
@@ -67,9 +66,8 @@ def _apply(tree: Path, mutant: dict) -> None:
     path.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     mutants = json.loads(LIST.read_text(encoding="utf-8"))
-    chosen = [int(a) for a in argv] or range(len(mutants))
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         _copy(base)
@@ -78,8 +76,7 @@ def main(argv: list[str]) -> int:
         if not passed:
             return 1
     wrong = 0
-    for k in chosen:
-        mutant = mutants[k]
+    for k, mutant in enumerate(mutants):
         with tempfile.TemporaryDirectory() as tmp:
             tree = Path(tmp) / "tree"
             _copy(tree)
@@ -99,4 +96,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
