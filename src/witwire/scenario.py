@@ -5,16 +5,20 @@ parameter grid), a wiring, and optional output sinks.  The format is
 JSON with a strict schema: unknown fields are rejected rather than
 ignored, so a typo like "witnes" fails loudly instead of silently
 evaluating something else.  The library reads scenario files; it
-does not write them.  Each dataclass here is valid by construction,
-parsed or built by hand, so ``parse_scenario`` raises every scenario
-rule (reading only JSON types itself) and ``run_scenario`` evaluates.
+does not write them.  The dataclasses state the schema once: a file
+object's keys are its dataclass's fields, those without a default
+required.  Each dataclass reads its own fields' types and is valid by
+construction, parsed or built by hand, so ``parse_scenario`` checks
+keys, reads only an assignment's types (a file's witness is a name,
+its param a number) and adds where a field sits.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from pathlib import PurePath
 
 from .detection import Assignment, DetectionReport, WiringSpec, expectation, sweep
@@ -23,6 +27,24 @@ from .states import FAMILIES, FIXED_STATES
 from .witnesses import canonical_name
 
 SCENARIO_VERSION = 1
+
+
+def _number(value, where: str) -> float:
+    # finite JSON numbers only: float() would read "0.25" as 0.25 and true as 1.0; the
+    # negated bound also turns away NaN, Infinity and integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _string(value, where: str) -> str:
+    # str() would read ["ex4"] as "['ex4']" and write that into the outputs
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+_FAMILY_READS = (("value", _number), ("start", _number), ("stop", _number), ("points", checked_integer))
 
 
 @dataclass(frozen=True)
@@ -40,8 +62,10 @@ class FamilyRef:
     points: int | None = None
 
     def __post_init__(self) -> None:
-        if self.points is not None:  # the parser reads it before any rule below
-            checked_integer(self.points, "family.points")
+        _string(self.name, "family.name")
+        for key, read in _FAMILY_READS:
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, read(getattr(self, key), f"family.{key}"))
         grid = [v is not None for v in (self.start, self.stop, self.points)]
         if self.value is not None and any(grid):
             raise ValueError("family: give either a fixed value or a grid, not both")
@@ -70,15 +94,19 @@ class FamilyRef:
 
 @dataclass(frozen=True)
 class WitnessParam:
-    """A b-axis: each of ``values`` (a non-empty list or tuple) in turn is ``witness``'s param."""
+    """A b-axis: each of ``values`` (a non-empty list or tuple of numbers) in turn is ``witness``'s param."""
 
     witness: str
     name: str
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _string(self.name, "witness_param.name")
+        _string(self.witness, "witness_param.witness")
         if not isinstance(self.values, (list, tuple)) or not self.values:
             raise ValueError("witness_param.values: expected a non-empty list")
+        values = tuple(_number(v, f"witness_param.values[{i}]") for i, v in enumerate(self.values))
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -100,11 +128,11 @@ class OutputSink:
 class Scenario:
     """A scenario, valid by construction, parsed or built by hand.
 
-    Refuses a name that is not a string, a seed that is not an integer
-    (it stores an int), an unknown version, a file two sinks write,
-    state dims other than the wiring's (in every family mode), and a
-    b-axis off a grid, named like an output field or aimed at no wired
-    witness.
+    Refuses a version, name or seed of the wrong type (the version and
+    seed are stored as ints), an unknown version, a file two sinks
+    write, state dims other than the wiring's (in every family mode),
+    and a b-axis off a grid, named like an output field or aimed at no
+    wired catalog witness.
     """
 
     version: int
@@ -116,6 +144,7 @@ class Scenario:
     outputs: tuple[OutputSink, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "version", checked_integer(self.version, "version"))
         _string(self.name, "name")
         object.__setattr__(self, "seed", checked_integer(self.seed, "seed"))
         if self.version != SCENARIO_VERSION:
@@ -134,55 +163,50 @@ class Scenario:
                 raise ValueError(f"witness_param needs a parameter grid; state {fam.name} has one point")
             if wp.name in ("points", "thresholds", "value", FAMILIES[fam.name].param_name):
                 raise ValueError(f"witness_param.name: {wp.name!r} names a field of the sweep's output")
-            if canonical_name(wp.witness) not in {canonical_name(a.witness) for a in self.wiring.assignments}:
+            # a raw-matrix assignment has no catalog name, so no b-axis targets it
+            wired = {canonical_name(a.witness) for a in self.wiring.assignments if isinstance(a.witness, str)}
+            if canonical_name(wp.witness) not in wired:
                 raise ValueError(f"witness_param targets {wp.witness!r} but no assignment uses it")
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+@cache
+def _file_keys(cls: type) -> tuple[frozenset[str], frozenset[str]]:
+    """A file object's allowed keys, ``cls``'s fields, and its required keys, the fields without a default."""
+    own = fields(cls)
+    return frozenset(f.name for f in own), frozenset(f.name for f in own if f.default is f.default_factory is MISSING)
+
+
+def _checked(cls: type, obj, where: str) -> dict:
+    """``obj`` if a JSON object whose keys are ``cls``'s fields, each required one present; refused by ``where``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - allowed)
+    allowed, required = _file_keys(cls)
+    unknown = sorted(obj.keys() - allowed)
     if unknown:
         raise ValueError(f"{where}: unknown field(s) {', '.join(unknown)}")
-    missing = sorted(required - set(obj))
+    missing = sorted(required - obj.keys())
     if missing:
         raise ValueError(f"{where}: missing required field(s) {', '.join(missing)}")
+    return obj
 
 
-def _number(value, where: str) -> float:
-    # finite JSON numbers only: float() would read "0.25" as 0.25 and true as 1.0; the
-    # negated bound also turns away NaN, Infinity and integers too large for a float
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not abs(value) <= sys.float_info.max
-    ):
-        raise ValueError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+def _parse_family(obj) -> FamilyRef:
+    _checked(FamilyRef, obj, "family")
+    for key, read in _FAMILY_READS:  # a JSON null is a value to refuse, not an absent field
+        if key in obj and obj[key] is None:
+            read(None, f"family.{key}")
+    return FamilyRef(**obj)
 
 
-def _string(value, where: str) -> str:
-    # str() would read ["ex4"] as "['ex4']" and write that into the outputs
-    if not isinstance(value, str):
-        raise ValueError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _parse_family(obj: dict) -> FamilyRef:
-    _require_keys(obj, {"name", "value", "start", "stop", "points"}, {"name"}, "family")
-    name = _string(obj["name"], "family.name")
-    reads = {"value": _number, "start": _number, "stop": _number, "points": checked_integer}
-    return FamilyRef(name, **{k: read(obj[k], f"family.{k}") for k, read in reads.items() if k in obj})
-
-
-def _parse_wiring(obj: dict) -> WiringSpec:
-    _require_keys(obj, {"copies", "base_dims", "assignments"}, {"copies", "base_dims", "assignments"}, "wiring")
+def _parse_wiring(obj) -> WiringSpec:
+    _checked(WiringSpec, obj, "wiring")
     assignments = []
     if not isinstance(obj["assignments"], list) or not obj["assignments"]:
         raise ValueError("wiring.assignments: expected a non-empty list")
     for idx, a in enumerate(obj["assignments"]):
         where = f"wiring.assignments[{idx}]"
-        _require_keys(a, {"witness", "slots", "param"}, {"witness", "slots"}, where)
+        _checked(Assignment, a, where)
+        # a file's witness is a catalog name and its param a number; the library takes more
         param = None if a.get("param") is None else _number(a["param"], f"{where}.param")
         assignments.append(Assignment(_string(a["witness"], f"{where}.witness"), a["slots"], param))
     try:
@@ -196,35 +220,22 @@ def parse_scenario(text: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"scenario is not valid JSON: {exc}") from exc
-    _require_keys(
-        obj,
-        {"version", "name", "seed", "family", "wiring", "witness_param", "outputs"},
-        {"version", "name", "seed", "family", "wiring"},
-        "scenario",
-    )
-    version = checked_integer(obj["version"], "version")
+    _checked(Scenario, obj, "scenario")
     family = _parse_family(obj["family"])
     wiring = _parse_wiring(obj["wiring"])
     witness_param = None
     if "witness_param" in obj:
-        wp = obj["witness_param"]
-        _require_keys(wp, {"witness", "name", "values"}, {"witness", "name", "values"}, "witness_param")
-        axis_name = _string(wp["name"], "witness_param.name")
-        witness = _string(wp["witness"], "witness_param.witness")
-        values = wp["values"]  # a non-list goes to WitnessParam as is, which refuses it as it refuses []
-        if isinstance(values, list):
-            values = tuple(_number(v, f"witness_param.values[{i}]") for i, v in enumerate(values))
-        witness_param = WitnessParam(witness, axis_name, values)
+        witness_param = WitnessParam(**_checked(WitnessParam, obj["witness_param"], "witness_param"))
     sinks, outputs = obj.get("outputs", []), []
     if not isinstance(sinks, list):
         raise ValueError(f"outputs: expected a list of sinks, got {sinks!r}")
     for idx, sink in enumerate(sinks):
-        _require_keys(sink, {"format", "path"}, {"format", "path"}, f"outputs[{idx}]")
+        _checked(OutputSink, sink, f"outputs[{idx}]")
         try:
-            outputs.append(OutputSink(sink["format"], sink["path"]))
+            outputs.append(OutputSink(**sink))
         except ValueError as exc:  # OutputSink names the field; this adds where it sits
             raise ValueError(f"outputs[{idx}].{exc}") from None
-    return Scenario(version, obj["name"], obj["seed"], family, wiring, witness_param, tuple(outputs))
+    return Scenario(obj["version"], obj["name"], obj["seed"], family, wiring, witness_param, tuple(outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +257,7 @@ class ScenarioRun:
 def _with_witness_param(wiring: WiringSpec, target: str, value: float) -> WiringSpec:
     canon = canonical_name(target)
     return replace(wiring, assignments=tuple(
-        Assignment(a.witness, a.slots, value) if canonical_name(a.witness) == canon else a
+        Assignment(a.witness, a.slots, value) if isinstance(a.witness, str) and canonical_name(a.witness) == canon else a
         for a in wiring.assignments
     ))
 
@@ -291,49 +302,37 @@ def threshold_dict(root: float) -> dict:
 def run_to_csv(run: ScenarioRun) -> str:
     """CSV table for a sweep: `param,value`, or `<p>,<b>,value` for a b-axis.
 
-    Each number is formatted once, as `fmt` formats it: the grid that
-    every b shares once per run, each b once per report, each value once
-    per cell.
+    A sweep without a b-axis is a one-entry axis with no b column.  Each
+    number is formatted once, as `fmt` formats it: the grid that every b
+    shares once per run, each b once per report, each value once per cell.
     """
-    s = run.scenario
+    s, wp = run.scenario, run.scenario.witness_param
     if run.kind == "point":  # a fixed state has no parameter; its column is left empty
         pv = fmt(s.family.value) if s.family.mode == "value" else ""
         return f"param,value\n{pv},{fmt(run.point_value)}\n"
-    if s.witness_param is None:
-        lines = ["param,value"]
-        _, report = run.reports[0]
-        lines += ["%.15g,%.15g" % pv for pv in zip(report.params, report.values)]
-        return "\n".join(lines) + "\n"
-    pname = FAMILIES[s.family.name].param_name
-    lines = [f"{pname},{s.witness_param.name},value"]
-    grid, cells = None, []
+    lines, grid = [f"{run.reports[0][1].param_name},{wp.name},value" if wp else "param,value"], None
     for b, report in run.reports:
         if report.params != grid:  # every b of a run shares one grid
             grid = report.params
             cells = ["%.15g," % p for p in grid]
-        b_cell = fmt(b) + ","
-        lines += ["%s%.15g" % pv for pv in zip([c + b_cell for c in cells], report.values)]
+        b_cell = fmt(b) + "," if wp else ""
+        lines += ["%s%s%.15g" % (c, b_cell, v) for c, v in zip(cells, report.values)]
     return "\n".join(lines) + "\n"
 
 
 def run_to_json(run: ScenarioRun) -> str:
     """Companion JSON: scenario identity plus located thresholds."""
-    s = run.scenario
+    s, wp = run.scenario, run.scenario.witness_param
     obj: dict = {"scenario": s.name, "family": s.family.name, "seed": s.seed}
     if run.kind == "point":
-        obj["kind"] = "point"
-        obj["value"] = round15(run.point_value)
+        obj.update(kind="point", value=round15(run.point_value))
         if s.family.mode == "value":
             obj["param"] = round15(s.family.value)
+        return json_text(obj)
+    obj.update(kind="sweep", param_name=run.reports[0][1].param_name)
+    entries = [{"points": len(r.params), "thresholds": list(map(threshold_dict, r.thresholds))} for _, r in run.reports]
+    if wp is None:
+        obj.update(entries[0])
     else:
-        obj["kind"] = "sweep"
-        entries = [
-            {"points": len(r.params), "thresholds": [threshold_dict(t) for t in r.thresholds]}
-            for _, r in run.reports
-        ]
-        if s.witness_param is None:
-            obj.update(entries[0], param_name=run.reports[0][1].param_name)
-        else:
-            obj.update(param_name=FAMILIES[s.family.name].param_name, axis=s.witness_param.name)
-            obj["sweeps"] = [{s.witness_param.name: round15(b), **e} for (b, _), e in zip(run.reports, entries)]
+        obj.update(axis=wp.name, sweeps=[{wp.name: round15(b), **e} for (b, _), e in zip(run.reports, entries)])
     return json_text(obj)

@@ -8,8 +8,9 @@ import pytest
 from oracles import run_to_csv_oracle, run_to_json_oracle
 
 from witwire import scenario as sc
-from witwire.detection import DetectionReport
+from witwire.detection import Assignment, DetectionReport, WiringSpec
 from witwire.reproduce import load_scenario, shipped_scenario_names
+from witwire.witnesses import catalog
 
 
 def _shipped(name):
@@ -294,6 +295,21 @@ SCENARIO_REFUSALS = {
         {"name": "werner_a", "value": 0.5},
         lambda s: replace(s, family=sc.FamilyRef("werner_a", value=0.5)),
     ),
+    "family_value_bool": (
+        ("family",),
+        {"name": "werner_a", "value": True},
+        lambda s: replace(s, family=sc.FamilyRef("werner_a", value=True)),
+    ),
+    "family_value_string": (
+        ("family",),
+        {"name": "werner_a", "value": "0.3"},
+        lambda s: replace(s, family=sc.FamilyRef("werner_a", value="0.3")),
+    ),
+    "family_start_string": (("family", "start"), "0.2", lambda s: replace(s, family=replace(s.family, start="0.2"))),
+    "values_string": (("witness_param", "values"), ["2"], lambda s: _with_param(s, values=("2",))),
+    "values_bool": (("witness_param", "values"), [True], lambda s: _with_param(s, values=(True,))),
+    "axis_name_number": (("witness_param", "name"), 3, lambda s: _with_param(s, name=3)),
+    "version_bool": (("version",), True, lambda s: replace(s, version=True)),
 }
 
 
@@ -307,6 +323,41 @@ def test_a_hand_built_scenario_is_refused_in_the_parsers_words(case):
     with pytest.raises(ValueError) as built:
         build(load_scenario("ex4_pb_w3"))
     assert str(built.value) == str(parsed.value)
+
+
+# each file object's allowed and required keys: a field added to one of these
+# dataclasses becomes a scenario-file key, so it is added here on purpose or not at all
+FILE_KEYS = {
+    sc.Scenario: (
+        {"version", "name", "seed", "family", "wiring", "witness_param", "outputs"},
+        {"version", "name", "seed", "family", "wiring"},
+    ),
+    sc.FamilyRef: ({"name", "value", "start", "stop", "points"}, {"name"}),
+    sc.WitnessParam: ({"witness", "name", "values"}, {"witness", "name", "values"}),
+    sc.OutputSink: ({"format", "path"}, {"format", "path"}),
+    WiringSpec: ({"copies", "base_dims", "assignments"}, {"copies", "base_dims", "assignments"}),
+    Assignment: ({"witness", "slots", "param"}, {"witness", "slots"}),
+}
+
+
+@pytest.mark.parametrize("cls", FILE_KEYS, ids=lambda cls: cls.__name__)
+def test_a_file_objects_keys_are_its_dataclass_fields(cls):
+    allowed, required = FILE_KEYS[cls]
+    assert sc._file_keys(cls) == (allowed, required)
+
+
+def test_a_raw_matrix_beside_a_b_axis_sweeps_like_its_catalog_name():
+    # the b-axis rules read every assignment's witness as a catalog name, so a raw W3
+    # was refused as "unknown catalog name array([[...", though the axis targets P_b
+    named = load_scenario("ex4_pb_w3")
+    assignments = tuple(
+        Assignment(catalog("W3").matrix, a.slots) if a.witness == "W3" else a for a in named.wiring.assignments
+    )
+    raw = replace(named, wiring=replace(named.wiring, assignments=assignments))
+    pairs = list(zip(sc.run_scenario(raw).reports, sc.run_scenario(named).reports, strict=True))
+    assert [b for (b, _), _ in pairs] == [1.0, 2.0, 10.0, 100.0]
+    for (b, got), (c, want) in pairs:
+        assert b == c and got.values == want.values and got.thresholds == want.thresholds
 
 
 def test_a_hand_built_numpy_seed_is_stored_as_an_int():
